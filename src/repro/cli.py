@@ -87,14 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the day-5 flash crowd event",
     )
-    sim.add_argument(
-        "--engine",
-        choices=("object", "soa", "soa-exact"),
-        default="object",
-        help="exchange backend: object (reference), soa (vectorised, "
-        "own RNG contract), soa-exact (vectorised gather, draw-identical "
-        "to object)",
-    )
 
     run = sub.add_parser(
         "run",
@@ -148,13 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--no-flash-crowd", action="store_true",
         help="disable the day-5 flash crowd event",
-    )
-    run.add_argument(
-        "--engine",
-        choices=("object", "soa", "soa-exact"),
-        default="object",
-        help="exchange backend (checkpoints pin it: resume with the "
-        "same --engine)",
     )
     run.add_argument(
         "--checkpoint-every", type=int, default=36, metavar="ROUNDS",
@@ -344,7 +329,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
             with_flash_crowd=not args.no_flash_crowd,
             policy=args.policy,
-            engine=args.engine,
         )
     except PolicyError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -480,7 +464,6 @@ def _cmd_run_fleet(args: argparse.Namespace) -> int:
         records_per_segment=args.segment_records,
         compress=args.compress,
         fsync_on_flush=args.fsync,
-        engine=args.engine,
         supervisor=SupervisorPolicy(
             heartbeat_timeout_s=args.heartbeat_timeout,
             progress_timeout_s=args.progress_timeout,
@@ -591,7 +574,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 fsync_on_flush=args.fsync,
                 stop=stop.is_set,
                 ingest=ingest,
-                engine=args.engine,
                 obs=obs,
             )
     except (CheckpointError, FileExistsError, PolicyError) as exc:

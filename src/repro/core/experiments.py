@@ -122,7 +122,6 @@ def run_simulation_to_trace(
     faults: FaultPlan | None = None,
     channel_faults: ChannelFaults | None = None,
     trace_mode: str = "overwrite",
-    engine: str = "object",
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Path:
     """Simulate a UUSee deployment and write its trace to ``path``.
@@ -132,7 +131,6 @@ def run_simulation_to_trace(
     injects infrastructure faults into the simulated system;
     ``channel_faults`` damages the report stream on its way to disk
     (producing a dirty trace that needs the tolerant readers).
-    ``engine`` picks the exchange backend (see ``SystemConfig.engine``).
     """
     path = Path(path)
     policy_enum, overlay = normalize_policy(policy)
@@ -144,7 +142,6 @@ def run_simulation_to_trace(
         overlay=overlay,
         protocol=protocol or ProtocolConfig(),
         faults=faults,
-        engine=engine,
     )
     with JsonlTraceStore(path, mode=trace_mode, obs=obs) as store:
         sink = (
@@ -200,7 +197,6 @@ def run_campaign(
     on_round: Callable[[int], None] | None = None,
     compute_content_sha: bool = False,
     ingest: "ReportClient | None" = None,
-    engine: str = "object",
     obs: AnyObserver = NULL_OBSERVER,
 ) -> CampaignResult:
     """Run a crash-safe campaign: segmented trace + periodic checkpoints.
@@ -245,10 +241,7 @@ def run_campaign(
     ``on_round`` fires after every completed round (heartbeats).
     ``checkpoint_scope`` narrows the checkpoint config token (shard
     identity); ``compute_content_sha`` additionally digests the final
-    trace content into ``CampaignResult.content_sha256``.  ``engine``
-    picks the exchange backend (see ``SystemConfig.engine``); resumes
-    must use the engine that took the checkpoint (the config token
-    pins it).
+    trace content into ``CampaignResult.content_sha256``.
     """
     if isinstance(resume, str) and resume != "auto":
         raise ValueError(f"resume must be True, False or 'auto', got {resume!r}")
@@ -266,7 +259,6 @@ def run_campaign(
         overlay=overlay,
         protocol=protocol or ProtocolConfig(),
         faults=faults,
-        engine=engine,
     )
     if ingest is not None:
         # Loss now happens on the real wire; the in-process coin flip
@@ -494,6 +486,18 @@ class Fig1Result:
         return nearest_total(flash_time) / reference if reference else 0.0
 
 
+def _require_observations(series: SnapshotSeries, figure: str) -> None:
+    """Refuse an empty series, so ``analyze`` skips the figure.
+
+    Reports start ~20 min into a campaign, so a trace up to about an
+    hour long has no report in any on-the-hour window.
+    """
+    if not series.times:
+        raise ValueError(
+            f"trace too short for {figure}: no observation window holds a report"
+        )
+
+
 def _snapshot_num_total(snapshot: TopologySnapshot) -> int:
     return snapshot.num_total
 
@@ -522,6 +526,7 @@ def fig1_scale(
         workers=workers,
         obs=obs,
     )
+    _require_observations(series, "Fig. 1")
     daily = daily_distinct_ips(trace)
     return Fig1Result(series=series, daily=daily)
 
@@ -616,6 +621,7 @@ def fig3_streaming_quality(
         workers=workers,
         obs=obs,
     )
+    _require_observations(series, "Fig. 3")
     return Fig3Result(series=series, channels=channels)
 
 

@@ -48,7 +48,6 @@ class FleetCampaignConfig:
     records_per_segment: int = 100_000
     compress: bool = False
     fsync_on_flush: bool = False
-    engine: str = "object"
     heartbeat_every_rounds: int = 1
     supervisor: SupervisorPolicy | None = None
     ingest: IngestSpec | None = None
@@ -175,7 +174,6 @@ def run_fleet_campaign(
         records_per_segment=config.records_per_segment,
         compress=config.compress,
         fsync_on_flush=config.fsync_on_flush,
-        engine=config.engine,
         heartbeat_every_rounds=config.heartbeat_every_rounds,
         ingest=config.ingest,
         chaos=config.chaos,

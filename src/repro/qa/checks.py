@@ -90,8 +90,8 @@ WALL_CLOCK_CALLS = frozenset(
 #: overlay package joins because partner policies run inside the
 #: simulated exchange rounds: any wall-clock read there would leak real
 #: time into partner selection and break campaign reproducibility.  The
-#: soa package is the simulator's hot path rehosted on flat arrays (plus
-#: the incremental analytics), so it inherits the simulator's rules.
+#: soa package holds the incremental window analytics, which run inside
+#: ``analyze`` alongside the core kernels and inherit their rules.
 SIMULATED_TIME_SEGMENTS = frozenset(
     {"simulator", "traces", "core", "obs", "ingest", "fleet", "overlay", "soa"}
 )

@@ -73,17 +73,12 @@ def _canonical(value: object) -> str:
     ``repr`` alone is not stable across processes: set and frozenset
     iteration order depends on hash randomization.  Dataclasses render
     field-by-field in declaration order, sets sort their canonical
-    elements, dicts sort by canonical key.  Fields marked with
-    ``token_exclude`` metadata are skipped: they were added after
-    tokens existed, and rendering them would reshuffle every
-    pre-existing token (such fields opt into the token through an
-    explicit suffix in :func:`config_token` instead).
+    elements, dicts sort by canonical key.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         body = ",".join(
             f"{f.name}={_canonical(getattr(value, f.name))}"
             for f in dataclasses.fields(value)
-            if not f.metadata.get("token_exclude")
         )
         return f"{type(value).__qualname__}({body})"
     if isinstance(value, enum.Enum):
@@ -119,19 +114,8 @@ def config_token(config: SystemConfig, scope: str = "") -> str:
     even though both run the same :class:`SystemConfig` shape.  The
     empty scope leaves the token byte-identical to pre-scope builds, so
     existing checkpoints stay restorable.
-
-    The engine backend participates the same way: the default
-    ``"object"`` engine leaves the token unchanged (the field is
-    ``token_exclude``-marked), while ``engine="soa"`` or
-    ``engine="soa-exact"`` appends an ``#engine=`` suffix — an SoA
-    campaign's checkpoints restore only into a system configured with
-    the same backend, even when (as with ``soa-exact``) the two
-    backends are draw-identical.
     """
     canonical = _canonical(config)
-    engine = getattr(config, "engine", "object")
-    if engine != "object":
-        canonical = f"{canonical}#engine={engine}"
     if scope:
         canonical = f"{canonical}#scope={scope}"
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -204,11 +188,6 @@ def snapshot_system(
         }
     return {
         "config_token": config_token(system.config, scope),
-        # Self-describing engine backend (absent in older checkpoints
-        # means "object").  Peers pickle engine-agnostically — SoA views
-        # reduce to plain Peer/Link objects — so this key documents
-        # provenance and backstops the config-token check on restore.
-        "engine": system.config.engine,
         "clock": system.engine.clock_state(),
         "rounds_completed": system.rounds_completed,
         "trace_records": trace_records,  # repro: noqa[REP101] consumed by run_campaign's store.rollback, not restore_into
@@ -279,22 +258,10 @@ def restore_into(
             f"(token {state['config_token'][:12]}… vs {token[:12]}…); "
             "resume with the original config or start a fresh campaign"
         )
-    engine = state.get("engine", "object")
-    if engine != system.config.engine:
-        raise CheckpointError(
-            f"checkpoint was taken under the {engine!r} engine backend "
-            f"but this system runs {system.config.engine!r}; resume with "
-            "the original --engine"
-        )
     system.engine.restore_clock(state["clock"])
     system.rounds_completed = state["rounds_completed"]
     system.peers.clear()
     system.peers.update(state["peers"])
-    # SoA systems re-pack the restored plain peers/links into fresh
-    # arrays; the object backend's hook is a no-op.  Row packing after
-    # resume differs from the uninterrupted run, but no engine reduction
-    # depends on row order, so the resumed run stays draw-identical.
-    system.exchange.adopt_restored()
     system.tracker = state["tracker"]
     system.exchange.tracker = state["tracker"]
     system.arrivals = state["arrivals"]

@@ -1,25 +1,13 @@
-"""Struct-of-arrays exchange backend (``--engine soa``).
+"""Incremental window analytics (``repro.soa.incremental``).
 
-``repro.soa`` keeps per-peer and per-partner protocol state in flat
-numpy arrays so the exchange data plane — request scoring, capacity
-allocation, viewer accounting, report emission, estimate maintenance —
-runs as vectorised passes over the whole mesh instead of per-object
-Python loops.  Peers and links are exposed through array-backed view
-objects that subclass the object backend's ``Peer``/``Link``, so the
-``PartnerPolicy`` seam, the tracker/gossip control plane and the
-checkpoint machinery run unchanged — and draw-for-draw identically —
-on either backend (see DESIGN §12 for the bit-compatibility contract).
+Re-exports :class:`IncrementalWindowMetrics`, which maintains per-window
+degree histograms, reciprocity and clustering from edge deltas between
+consecutive snapshots, and :func:`observe_incremental`, its driver.
 """
 
-from repro.soa.engine import SoAExchangeEngine
 from repro.soa.incremental import IncrementalWindowMetrics, observe_incremental
-from repro.soa.state import SoALink, SoAPeer, SoAState
 
 __all__ = [
     "IncrementalWindowMetrics",
-    "SoAExchangeEngine",
-    "SoALink",
-    "SoAPeer",
-    "SoAState",
     "observe_incremental",
 ]

@@ -1,4 +1,4 @@
-"""Incremental window analytics: metrics from edge deltas (repro.soa).
+"""Incremental window analytics: metrics from edge deltas.
 
 Per-window structural analytics — degree histograms, active-topology
 edge reciprocity and stable-graph clustering — normally rebuild a

@@ -42,6 +42,13 @@ class TestFig1:
         max_concurrent = max(result.series.column("total"))
         assert result.daily[1][1] > 2 * max_concurrent
 
+    def test_trace_too_short_raises(self, small_trace):
+        # No report falls in the first on-the-hour window [0, 600 s).
+        first_hour = [r for r in small_trace if r.time < HOUR]
+        assert first_hour
+        with pytest.raises(ValueError, match="trace too short"):
+            fig1_scale(first_hour)
+
 
 class TestFig2:
     def test_rank_order(self, small_trace):
@@ -54,6 +61,11 @@ class TestFig2:
 
 
 class TestFig3:
+    def test_trace_too_short_raises(self, small_trace):
+        first_hour = [r for r in small_trace if r.time < HOUR]
+        with pytest.raises(ValueError, match="trace too short"):
+            fig3_streaming_quality(first_hour)
+
     def test_quality_levels(self, small_trace):
         result = fig3_streaming_quality(small_trace)
         cctv1 = result.mean_quality("CCTV1")

@@ -37,7 +37,6 @@ def churn_trace():
             start=1_800.0, ramp_seconds=1_800.0, hold_seconds=3_600.0,
             decay_seconds=1_800.0, magnitude=2.0,
         ),
-        engine="soa",
     )
     store = InMemoryTraceStore()
     UUSeeSystem(config, store).run(seconds=6 * 3600)

@@ -7,7 +7,11 @@ documented.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +96,15 @@ class TestPackageMetadata:
         from repro.cli import main
 
         assert callable(main)
+
+
+    def test_imports_without_numpy(self):
+        """The CLI and the analytics it loads need only the standard library."""
+        code = (
+            "import sys, repro.cli, repro.soa.incremental; "
+            "sys.exit('numpy' in sys.modules)"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=False)
+        assert done.returncode == 0, "importing repro.cli pulled in numpy"

@@ -153,6 +153,22 @@ class TestAnalyze:
         assert main(["analyze", "--trace", str(cli_trace), "--figure", "fig4"]) == 0
         assert "skipped" in capsys.readouterr().out
 
+    def test_sub_hour_trace_skips_hourly_figures(self, tmp_path, capsys):
+        # Reports start ~20 min in, so a 58-minute trace has no report
+        # in any on-the-hour window: Figs. 1 and 3 must skip, not crash.
+        import json
+
+        trace = tmp_path / "short.jsonl"
+        argv = ["simulate", "--out", str(trace), "--days", "0.04",
+                "--base", "300", "--seed", "3"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--trace", str(trace), "--json"]) == 0
+        figures = json.loads(capsys.readouterr().out)["figures"]
+        assert len(figures) == 8
+        assert "trace too short" in figures["fig1"]["skipped"]
+        assert "trace too short" in figures["fig3"]["skipped"]
+
     def test_csv_export(self, cli_trace, tmp_path, capsys):
         csv_dir = tmp_path / "csv"
         rc = main(
