@@ -19,10 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.experiments import run_simulation_to_trace
+from repro.core.experiments import run_campaign
 from repro.network import build_default_database
 from repro.simulator.protocol import SelectionPolicy
-from repro.traces import TraceReader
+from repro.traces import SegmentedTraceReader
 
 CACHE_DIR = Path(__file__).parent / ".cache"
 
@@ -36,12 +36,6 @@ BENCH_POLICY = os.environ.get("REPRO_BENCH_POLICY", "uusee")
 #: benchmarks that honour it; recorded in BENCH_report.json so runs on
 #: different modes are never compared as like-for-like
 BENCH_ANALYTICS = os.environ.get("REPRO_BENCH_ANALYTICS", "incremental")
-#: process count for the parallel-analytics benchmarks; capped at the
-#: host's core count — on a single-core box pool fan-out only adds
-#: overhead, so the parallel benchmark degrades to the serial path
-BENCH_WORKERS = int(
-    os.environ.get("REPRO_BENCH_WORKERS", str(min(4, os.cpu_count() or 1)))
-)
 
 DAY = 86_400.0
 HOUR = 3_600.0
@@ -49,9 +43,15 @@ HOUR = 3_600.0
 FLASH_PEAK = 5 * DAY + 20.5 * HOUR + 1_800 + 3_600
 
 
-def _cached_trace(name: str, **kwargs) -> TraceReader:
+#: Bumped whenever the cached trace layout changes, so stale cache
+#: entries are never read back in an old format.
+CACHE_VERSION = 2
+
+
+def _cached_trace(name: str, **kwargs) -> SegmentedTraceReader:
     import dataclasses
     import hashlib
+    import shutil
 
     CACHE_DIR.mkdir(exist_ok=True)
     # hash only values with stable reprs; anything else (e.g. a channel
@@ -63,18 +63,20 @@ def _cached_trace(name: str, **kwargs) -> TraceReader:
         or dataclasses.is_dataclass(v)
         or hasattr(v, "value")  # enums
     ]
-    key = hashlib.sha256(repr(stable).encode()).hexdigest()[:16]
-    path = CACHE_DIR / f"{name}-{key}.jsonl.gz"
-    if not path.exists():
-        # staging name keeps the .jsonl.gz suffix so compression is inferred
-        tmp = path.with_name("tmp-" + path.name)
-        run_simulation_to_trace(tmp, **kwargs)
-        tmp.rename(path)
-    return TraceReader(path)
+    key = hashlib.sha256(repr((CACHE_VERSION, stable)).encode()).hexdigest()[:16]
+    trace_dir = CACHE_DIR / f"{name}-{key}"
+    if not trace_dir.exists():
+        # simulate into a staging directory and rename it into place, so
+        # an interrupted run never leaves a half-written cache entry
+        tmp = trace_dir.with_name("tmp-" + trace_dir.name)
+        shutil.rmtree(tmp, ignore_errors=True)
+        run_campaign(tmp, compress=True, **kwargs)
+        tmp.rename(trace_dir)
+    return SegmentedTraceReader(trace_dir)
 
 
 @pytest.fixture(scope="session")
-def flagship_trace() -> TraceReader:
+def flagship_trace() -> SegmentedTraceReader:
     """The paper's two selected weeks, scaled (see module docstring)."""
     return _cached_trace(
         "flagship",
@@ -86,7 +88,7 @@ def flagship_trace() -> TraceReader:
     )
 
 
-def _ablation_trace(policy: SelectionPolicy) -> TraceReader:
+def _ablation_trace(policy: SelectionPolicy) -> SegmentedTraceReader:
     return _cached_trace(
         f"ablation-{policy.value}",
         days=1.5,
@@ -98,17 +100,17 @@ def _ablation_trace(policy: SelectionPolicy) -> TraceReader:
 
 
 @pytest.fixture(scope="session")
-def uusee_trace() -> TraceReader:
+def uusee_trace() -> SegmentedTraceReader:
     return _ablation_trace(SelectionPolicy.UUSEE)
 
 
 @pytest.fixture(scope="session")
-def random_trace() -> TraceReader:
+def random_trace() -> SegmentedTraceReader:
     return _ablation_trace(SelectionPolicy.RANDOM)
 
 
 @pytest.fixture(scope="session")
-def tree_trace() -> TraceReader:
+def tree_trace() -> SegmentedTraceReader:
     return _ablation_trace(SelectionPolicy.TREE)
 
 
@@ -214,7 +216,6 @@ def pytest_sessionfinish(session, exitstatus) -> None:
             "seed": BENCH_SEED,
             "policy": _policy_info(BENCH_POLICY),
             "analytics": BENCH_ANALYTICS,
-            "workers": BENCH_WORKERS,
             "git_sha": _git_sha(),
         },
         "exitstatus": int(exitstatus),

@@ -29,10 +29,9 @@ from repro.simulator import (
 from repro.traces import (
     ChannelFaults,
     FaultyChannel,
-    JsonlTraceStore,
-    TolerantTraceReader,
+    SegmentedTraceReader,
+    SegmentedTraceStore,
     TraceFormatError,
-    TraceReader,
 )
 
 BASE = 250.0
@@ -43,7 +42,7 @@ FAULT_END = 5.5 * HOUR  # partition heals; all faults over
 
 
 class _TeeStore:
-    """Writes every report to both sinks (clean file + faulty channel)."""
+    """Writes every report to both sinks (clean trace + faulty channel)."""
 
     def __init__(self, *sinks):
         self.sinks = sinks
@@ -74,10 +73,10 @@ def _channel_faults():
 
 def _run(tmp_path, *, faulted):
     tag = "faulted" if faulted else "baseline"
-    clean_path = tmp_path / f"{tag}-clean.jsonl"
-    dirty_path = tmp_path / f"{tag}-dirty.jsonl"
-    clean_store = JsonlTraceStore(clean_path)
-    dirty_store = JsonlTraceStore(dirty_path)
+    clean_path = tmp_path / f"{tag}-clean"
+    dirty_path = tmp_path / f"{tag}-dirty"
+    clean_store = SegmentedTraceStore(clean_path)
+    dirty_store = SegmentedTraceStore(dirty_path)
     channel = FaultyChannel(dirty_store, _channel_faults(), seed=SEED)
     config = SystemConfig(
         seed=SEED,
@@ -145,8 +144,8 @@ def test_fault_tolerance_end_to_end(benchmark, tmp_path):
     assert dip.min_during < dip.baseline
 
     # --- dirty-trace analytics match clean-trace analytics -----------
-    clean_trace = TraceReader(clean_path)
-    dirty_trace = TolerantTraceReader(dirty_path, slack_s=600.0)
+    clean_trace = SegmentedTraceReader(clean_path)
+    dirty_trace = SegmentedTraceReader(dirty_path, tolerant=True, slack_s=600.0)
 
     def quality_metrics(trace):
         series = observe(
@@ -192,5 +191,5 @@ def test_fault_tolerance_end_to_end(benchmark, tmp_path):
 
     # --- strict mode still refuses the dirty trace --------------------
     with pytest.raises(TraceFormatError):
-        for _ in TraceReader(dirty_path):
+        for _ in SegmentedTraceReader(dirty_path):
             pass

@@ -24,22 +24,22 @@ from repro.core.dynamics import (
     population_turnover,
     session_statistics,
 )
-from repro.core.experiments import run_simulation_to_trace
+from repro.core.experiments import run_campaign
 from repro.core.locality import isp_traffic_matrix
 from repro.core.report import format_table
 from repro.core.structure import mesh_structure
 from repro.network import build_default_database
-from repro.traces import TraceReader
+from repro.traces import SegmentedTraceReader
 from repro.traces.store import iter_windows
 
 
 def main() -> None:
-    trace_path = Path(tempfile.mkdtemp()) / "backbone.jsonl.gz"
+    trace_dir = Path(tempfile.mkdtemp()) / "backbone"
     print("Simulating 1 day of a ~450-peer UUSee deployment ...")
-    run_simulation_to_trace(
-        trace_path, days=1.0, base_concurrency=450, seed=31, with_flash_crowd=False
+    run_campaign(
+        trace_dir, days=1.0, base_concurrency=450, seed=31, with_flash_crowd=False
     )
-    trace = TraceReader(trace_path)
+    trace = SegmentedTraceReader(trace_dir)
     db = build_default_database()
 
     # one evening snapshot for the structural metrics

@@ -21,7 +21,7 @@ from repro.core.experiments import (
 from repro.core.report import format_table
 from repro.simulator.protocol import ProtocolConfig
 from repro.simulator.system import SystemConfig, UUSeeSystem
-from repro.traces import JsonlTraceStore, TraceReader
+from repro.traces import SegmentedTraceReader, SegmentedTraceStore
 from repro.workloads import FlashCrowdEvent
 
 DAY = 86_400.0
@@ -30,7 +30,7 @@ CROWD_START = int(1 * DAY + 20.5 * HOUR)  # second evening, 20:30
 
 
 def main() -> None:
-    trace_path = Path(tempfile.mkdtemp()) / "flashcrowd.jsonl.gz"
+    trace_dir = Path(tempfile.mkdtemp()) / "flashcrowd"
     event = FlashCrowdEvent(start=CROWD_START, magnitude=2.3)
     config = SystemConfig(
         seed=7,
@@ -39,10 +39,10 @@ def main() -> None:
         protocol=ProtocolConfig(),
     )
     print("Simulating 2.5 days with a flash crowd on the second evening ...")
-    with JsonlTraceStore(trace_path) as store:
+    with SegmentedTraceStore(trace_dir) as store:
         system = UUSeeSystem(config, store)
         system.run(days=2.5)
-    trace = TraceReader(trace_path)
+    trace = SegmentedTraceReader(trace_dir)
 
     fig1 = fig1_scale(trace)
     fig3 = fig3_streaming_quality(trace)

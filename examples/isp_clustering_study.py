@@ -18,16 +18,16 @@ from pathlib import Path
 from repro.core.experiments import (
     fig6_intra_isp_degrees,
     fig7_small_world,
-    run_simulation_to_trace,
+    run_campaign,
 )
 from repro.core.report import format_table
 from repro.simulator.protocol import SelectionPolicy
-from repro.traces import TraceReader
+from repro.traces import SegmentedTraceReader
 
 
-def run_policy(policy: SelectionPolicy, tmp: Path) -> TraceReader:
-    path = tmp / f"{policy.value}.jsonl.gz"
-    run_simulation_to_trace(
+def run_policy(policy: SelectionPolicy, tmp: Path) -> SegmentedTraceReader:
+    path = tmp / policy.value
+    run_campaign(
         path,
         days=1.5,
         base_concurrency=450,
@@ -35,7 +35,7 @@ def run_policy(policy: SelectionPolicy, tmp: Path) -> TraceReader:
         with_flash_crowd=False,
         policy=policy,
     )
-    return TraceReader(path)
+    return SegmentedTraceReader(path)
 
 
 def main() -> None:

@@ -21,8 +21,9 @@ import time
 from pathlib import Path
 
 from repro.cli import _ANALYZERS  # the per-figure renderers
-from repro.core.experiments import run_simulation_to_trace
-from repro.traces import TraceReader
+from repro.core.experiments import run_campaign
+from repro.obs import NULL_OBSERVER
+from repro.traces import SegmentedTraceReader
 from repro.workloads import presets
 
 
@@ -39,28 +40,29 @@ def main() -> None:
     base = args.base if args.base is not None else config.base_concurrency
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = args.out_dir / "trace.jsonl.gz"
+    trace_dir = args.out_dir / "trace"
     print(
         f"Simulating {days:g} days at base concurrency {base:g} "
-        f"(seed {args.seed}) -> {trace_path}"
+        f"(seed {args.seed}) -> {trace_dir}"
     )
     t0 = time.time()
-    run_simulation_to_trace(
-        trace_path,
+    run_campaign(
+        trace_dir,
         days=days,
         base_concurrency=base,
         seed=args.seed,
         with_flash_crowd=True,
+        compress=True,
     )
     print(f"simulation finished in {time.time() - t0:.0f}s")
 
-    trace = TraceReader(trace_path)
+    trace = SegmentedTraceReader(trace_dir)
     csv_dir = args.out_dir / "csv"
     csv_dir.mkdir(exist_ok=True)
     for fig, render in _ANALYZERS.items():
         print(f"\n{'=' * 72}\nRegenerating {fig} ...\n")
         try:
-            render(trace, csv_dir)
+            render(trace, csv_dir, NULL_OBSERVER)
         except ValueError as exc:
             print(f"{fig}: skipped ({exc}) — run with more days")
     print(f"\nAll figure series written under {csv_dir}/")

@@ -16,23 +16,23 @@ from repro.core.experiments import (
     fig6_intra_isp_degrees,
     fig7_small_world,
     fig8_reciprocity,
-    run_simulation_to_trace,
+    run_campaign,
 )
 from repro.core.report import format_table
-from repro.traces import TraceReader
+from repro.traces import SegmentedTraceReader
 
 
 def main() -> None:
-    trace_path = Path(tempfile.mkdtemp()) / "quickstart.jsonl.gz"
+    trace_dir = Path(tempfile.mkdtemp()) / "quickstart"
     print("Simulating 1.5 days of a ~400-peer UUSee deployment ...")
-    run_simulation_to_trace(
-        trace_path,
+    run_campaign(
+        trace_dir,
         days=1.5,
         base_concurrency=400,
         seed=42,
         with_flash_crowd=False,
     )
-    trace = TraceReader(trace_path)
+    trace = SegmentedTraceReader(trace_dir)
 
     fig1 = fig1_scale(trace)
     fig3 = fig3_streaming_quality(trace)
@@ -60,7 +60,7 @@ def main() -> None:
     shares = fig2_isp_shares(trace)
     for name in sorted(shares, key=shares.get, reverse=True):
         print(f"  {name:16s} {shares[name]:.3f}")
-    print(f"\nTrace file: {trace_path}")
+    print(f"\nTrace directory: {trace_dir}")
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 Seven subcommands cover the whole pipeline:
 
-- ``simulate`` — run a UUSee deployment and write its Magellan trace;
-- ``run``      — run a crash-safe campaign (segmented trace directory +
-  periodic checkpoints); ``--resume`` continues a killed campaign,
+- ``run``      — run a UUSee deployment as a crash-safe campaign
+  (segmented trace directory + periodic checkpoints; ``simulate
+  --out DIR`` is an alias); ``--resume`` continues a killed campaign,
   ``--shards N`` partitions the channels across N supervised worker
   subprocesses (heartbeats, crash-resume, poison-shard quarantine),
   ``--obs-dir`` records live metrics/spans while it runs, and
@@ -13,18 +13,18 @@ Seven subcommands cover the whole pipeline:
   gracefully (final checkpoint, sealed trace, exit code 3);
 - ``serve``    — run the trace ingestion service (UDP + TCP on
   loopback, crash-tolerant admission, SIGTERM drains gracefully);
-- ``analyze``  — regenerate any paper figure (or all) from a trace file
-  or campaign directory, printing series (or ``--json``) and optionally
-  exporting CSV;
-- ``info``     — summarise a trace (span, peers, reports, dynamics), or
-  query a live ingest server's health with ``--server``;
+- ``analyze``  — regenerate any paper figure (or all) from a campaign
+  directory, printing series (or ``--json``) and optionally exporting
+  CSV;
+- ``info``     — summarise a campaign trace (span, peers, reports,
+  dynamics), or query a live ingest server's health with ``--server``;
 - ``obs``      — observability utilities (``obs summarize <dir>``);
 - ``qa``       — determinism & correctness static analysis (the CI gate);
 - ``compare-overlays`` — run the same deployment under every
   partner-selection policy (``--policies``) and print the cross-policy
   Magellan metric table (DESIGN.md Sec. 11).
 
-``simulate``/``run`` accept ``--policy NAME[:key=val,...]`` specs from
+``run`` accepts ``--policy NAME[:key=val,...]`` specs from
 the overlay registry (``uusee``, ``random``, ``tree``, ``locality``,
 ``hamiltonian``, ``random-regular``, ``strandcast``).
 """
@@ -58,7 +58,6 @@ from repro.qa.cli import add_qa_arguments, run_qa
 from repro.simulator.checkpoint import CheckpointError
 from repro.simulator.protocol import SelectionPolicy
 from repro.traces.segments import SegmentedTraceReader
-from repro.traces.store import TolerantTraceReader, TraceReader
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
@@ -70,30 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="simulate a deployment to a trace file")
-    sim.add_argument("--out", type=Path, required=True, help="trace path (.jsonl[.gz])")
-    sim.add_argument("--days", type=float, default=2.0)
-    sim.add_argument("--base", type=float, default=500.0, help="base concurrency")
-    sim.add_argument("--seed", type=int, default=2006)
-    sim.add_argument(
-        "--policy",
-        default=SelectionPolicy.UUSEE.value,
-        metavar="SPEC",
-        help="partner-selection policy spec NAME[:key=val,...] "
-        f"(available: {', '.join(available_policies())})",
-    )
-    sim.add_argument(
-        "--no-flash-crowd",
-        action="store_true",
-        help="disable the day-5 flash crowd event",
-    )
-
     run = sub.add_parser(
         "run",
-        help="crash-safe campaign: segmented trace + checkpoints (--resume)",
+        aliases=["simulate"],
+        help="simulate a deployment into a crash-safe campaign directory "
+        "(segmented trace + checkpoints; --resume)",
     )
     run.add_argument(
-        "--trace-dir", type=Path, required=True,
+        "--trace-dir", "--out", dest="trace_dir", type=Path, required=True,
         help="campaign directory (rotating trace segments + manifest)",
     )
     run.add_argument(
@@ -226,7 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     ana = sub.add_parser("analyze", help="regenerate paper figures from a trace")
-    ana.add_argument("--trace", type=Path, required=True)
+    ana.add_argument(
+        "--trace", type=Path, required=True, help="campaign directory"
+    )
     ana.add_argument(
         "--figure",
         choices=FIGURES + ("windows", "all"),
@@ -257,14 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-dir", type=Path,
         help="record per-metric analytics timings into this directory",
     )
-    ana.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="evaluate snapshot windows on N worker processes "
-        "(output is byte-identical to --workers 1)",
-    )
 
-    info = sub.add_parser("info", help="summarise a trace file")
-    info.add_argument("--trace", type=Path)
+    info = sub.add_parser("info", help="summarise a campaign trace")
+    info.add_argument("--trace", type=Path, help="campaign directory")
     info.add_argument(
         "--tolerant",
         action="store_true",
@@ -314,27 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the GitHub-flavoured markdown table (for EXPERIMENTS.md)",
     )
     return parser
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    print(
-        f"simulating {args.days} days at base concurrency {args.base:.0f} "
-        f"(seed {args.seed}, policy {args.policy}) ..."
-    )
-    try:
-        ex.run_simulation_to_trace(
-            args.out,
-            days=args.days,
-            base_concurrency=args.base,
-            seed=args.seed,
-            with_flash_crowd=not args.no_flash_crowd,
-            policy=args.policy,
-        )
-    except PolicyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"trace written to {args.out}")
-    return 0
 
 
 def cmd_compare_overlays(args: argparse.Namespace) -> int:
@@ -667,15 +626,23 @@ def _query_server_health(target: str) -> dict[str, object]:
     return payload
 
 
-def _open_trace(path: Path, *, tolerant: bool):
-    """A re-iterable reader for a trace file or campaign directory."""
-    if path.is_dir():
-        return SegmentedTraceReader(path, tolerant=tolerant)
-    return TolerantTraceReader(path) if tolerant else TraceReader(path)
+def _is_trace_dir(path: Path) -> bool:
+    """True for a campaign directory; else print a one-line error."""
+    if not path.exists():
+        print(f"error: no such trace: {path}", file=sys.stderr)
+        return False
+    if not path.is_dir():
+        print(
+            f"error: {path} is a file, not a campaign directory "
+            "(write one with: repro run --trace-dir DIR)",
+            file=sys.stderr,
+        )
+        return False
+    return True
 
 
-def _analyze_fig1(trace, csv_dir, obs, workers=1):
-    result = ex.fig1_scale(trace, workers=workers, obs=obs)
+def _analyze_fig1(trace, csv_dir, obs):
+    result = ex.fig1_scale(trace, obs=obs)
     print(format_series(result.series, ["total", "stable"], title="Fig. 1(A) simultaneous peers"))
     print()
     print(format_table(["day", "total IPs", "stable IPs"], result.daily, title="Fig. 1(B) daily distinct IPs"))
@@ -693,8 +660,8 @@ def _analyze_fig1(trace, csv_dir, obs, workers=1):
     }
 
 
-def _analyze_fig2(trace, csv_dir, obs, workers=1):
-    shares = ex.fig2_isp_shares(trace, workers=workers, obs=obs)
+def _analyze_fig2(trace, csv_dir, obs):
+    shares = ex.fig2_isp_shares(trace, obs=obs)
     rows = sorted(shares.items(), key=lambda kv: kv[1], reverse=True)
     print(format_table(["ISP", "share"], rows, title="Fig. 2 ISP shares"))
     if csv_dir:
@@ -702,8 +669,8 @@ def _analyze_fig2(trace, csv_dir, obs, workers=1):
     return {"shares": dict(rows)}
 
 
-def _analyze_fig3(trace, csv_dir, obs, workers=1):
-    result = ex.fig3_streaming_quality(trace, workers=workers, obs=obs)
+def _analyze_fig3(trace, csv_dir, obs):
+    result = ex.fig3_streaming_quality(trace, obs=obs)
     print(format_series(result.series, list(result.channels), title="Fig. 3 streaming quality"))
     for name in result.channels:
         print(f"mean {name}: {result.mean_quality(name):.3f} (paper: ~0.75)")
@@ -720,10 +687,7 @@ def _analyze_fig3(trace, csv_dir, obs, workers=1):
     }
 
 
-def _analyze_fig4(trace, csv_dir, obs, workers=1):
-    # Fig. 4 reads four specific instants from one streaming pass; there
-    # is nothing to fan out, so it always runs serially.
-    del workers
+def _analyze_fig4(trace, csv_dir, obs):
     result = ex.fig4_degree_distributions(trace, obs=obs)
     payload = {}
     for label, kinds in result.distributions.items():
@@ -748,8 +712,8 @@ def _analyze_fig4(trace, csv_dir, obs, workers=1):
     return {"distributions": payload}
 
 
-def _analyze_fig5(trace, csv_dir, obs, workers=1):
-    result = ex.fig5_degree_evolution(trace, workers=workers, obs=obs)
+def _analyze_fig5(trace, csv_dir, obs):
+    result = ex.fig5_degree_evolution(trace, obs=obs)
     rows = [
         [t / 3600.0, d.mean_partners, d.mean_indegree, d.mean_outdegree]
         for t, d in zip(result.series.times, result.series.values.get("degrees", ()))
@@ -760,8 +724,8 @@ def _analyze_fig5(trace, csv_dir, obs, workers=1):
     return {"columns": ["t_hours", "partners", "indegree", "outdegree"], "rows": rows}
 
 
-def _analyze_fig6(trace, csv_dir, obs, workers=1):
-    result = ex.fig6_intra_isp_degrees(trace, workers=workers, obs=obs)
+def _analyze_fig6(trace, csv_dir, obs):
+    result = ex.fig6_intra_isp_degrees(trace, obs=obs)
     rows = [
         [t / 3600.0, v.indegree_fraction, v.outdegree_fraction]
         for t, v in zip(result.series.times, result.series.values.get("intra", ()))
@@ -777,10 +741,10 @@ def _analyze_fig6(trace, csv_dir, obs, workers=1):
     }
 
 
-def _analyze_fig7(trace, csv_dir, obs, workers=1):
+def _analyze_fig7(trace, csv_dir, obs):
     payload = {}
     for isp in (None, "China Netcom"):
-        result = ex.fig7_small_world(trace, isp=isp, workers=workers, obs=obs)
+        result = ex.fig7_small_world(trace, isp=isp, obs=obs)
         tag = isp or "global"
         rows = [
             [t / 3600.0, m.clustering, m.random_clustering, m.path_length, m.random_path_length]
@@ -804,8 +768,8 @@ def _analyze_fig7(trace, csv_dir, obs, workers=1):
     return payload
 
 
-def _analyze_fig8(trace, csv_dir, obs, workers=1):
-    result = ex.fig8_reciprocity(trace, workers=workers, obs=obs)
+def _analyze_fig8(trace, csv_dir, obs):
+    result = ex.fig8_reciprocity(trace, obs=obs)
     rows = [
         [t / 3600.0, m.all_links, m.intra_isp, m.inter_isp]
         for t, m in zip(result.series.times, result.series.values.get("rho", ()))
@@ -816,10 +780,8 @@ def _analyze_fig8(trace, csv_dir, obs, workers=1):
     return {"columns": ["t_hours", "rho_all", "rho_intra", "rho_inter"], "rows": rows}
 
 
-def _analyze_windows(trace, csv_dir, obs, workers=1, analytics="incremental"):
-    series = ex.windowed_structure(
-        trace, mode=analytics, workers=workers, obs=obs
-    )
+def _analyze_windows(trace, csv_dir, obs, analytics="incremental"):
+    series = ex.windowed_structure(trace, mode=analytics, obs=obs)
     rows = [
         [
             t / 3600.0,
@@ -938,17 +900,15 @@ def _print_campaign_health(trace_path: Path) -> None:
 
 
 def _run_figures(
-    trace, figures, csv_dir, obs, workers=1, analytics="incremental"
+    trace, figures, csv_dir, obs, analytics="incremental"
 ) -> dict[str, object]:
     payloads: dict[str, object] = {}
     for fig in figures:
         try:
             if fig == "windows":
-                payloads[fig] = _analyze_windows(
-                    trace, csv_dir, obs, workers, analytics
-                )
+                payloads[fig] = _analyze_windows(trace, csv_dir, obs, analytics)
             else:
-                payloads[fig] = _ANALYZERS[fig](trace, csv_dir, obs, workers)
+                payloads[fig] = _ANALYZERS[fig](trace, csv_dir, obs)
         except ValueError as exc:
             payloads[fig] = {"skipped": str(exc)}
             print(f"{fig}: skipped ({exc})")
@@ -957,23 +917,18 @@ def _run_figures(
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if not args.trace.exists():
-        print(f"error: no such trace: {args.trace}", file=sys.stderr)
+    if not _is_trace_dir(args.trace):
         return 2
     if args.csv_dir:
         args.csv_dir.mkdir(parents=True, exist_ok=True)
-    trace = _open_trace(args.trace, tolerant=args.tolerant)
+    trace = SegmentedTraceReader(args.trace, tolerant=args.tolerant)
     figures = FIGURES if args.figure == "all" else (args.figure,)
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     obs = create_observer(args.obs_dir)
     try:
         if args.json:
             with contextlib.redirect_stdout(io.StringIO()):
                 payloads = _run_figures(
-                    trace, figures, args.csv_dir, obs, args.workers,
-                    args.analytics,
+                    trace, figures, args.csv_dir, obs, args.analytics
                 )
             doc: dict[str, object] = {"trace": str(args.trace), "figures": payloads}
             if args.tolerant:
@@ -983,10 +938,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 doc["campaign_health"] = campaign_health
             print(json.dumps(doc, indent=2, sort_keys=True))
         else:
-            _run_figures(
-                trace, figures, args.csv_dir, obs, args.workers,
-                args.analytics,
-            )
+            _run_figures(trace, figures, args.csv_dir, obs, args.analytics)
             if args.tolerant:
                 print(format_trace_health(trace.health, title=f"trace health {args.trace}"))
             _print_campaign_health(args.trace)
@@ -1024,10 +976,9 @@ def cmd_info(args: argparse.Namespace) -> int:
     if args.trace is None:
         print("error: info needs --trace or --server", file=sys.stderr)
         return 2
-    if not args.trace.exists():
-        print(f"error: no such trace: {args.trace}", file=sys.stderr)
+    if not _is_trace_dir(args.trace):
         return 2
-    trace = _open_trace(args.trace, tolerant=args.tolerant)
+    trace = SegmentedTraceReader(args.trace, tolerant=args.tolerant)
     count = 0
     first = last = None
     ips = set()
@@ -1082,9 +1033,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    if args.command == "run":
+    if args.command in ("run", "simulate"):
         return cmd_run(args)
     if args.command == "serve":
         return cmd_serve(args)

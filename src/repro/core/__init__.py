@@ -39,7 +39,6 @@ from repro.core.experiments import (
     Fig7Result,
     Fig8Result,
     run_campaign,
-    run_simulation_to_trace,
 )
 from repro.core import experiments
 from repro.core.dynamics import (
@@ -87,7 +86,6 @@ __all__ = [
     "Fig7Result",
     "Fig8Result",
     "run_campaign",
-    "run_simulation_to_trace",
     "ResilienceStats",
     "quality_dip",
     "satisfied_series",

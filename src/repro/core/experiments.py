@@ -1,10 +1,10 @@
 """Per-figure experiment drivers (DESIGN.md Sec. 3).
 
 Each ``figN_*`` function turns a trace (any re-iterable of reports, e.g.
-:class:`repro.traces.TraceReader`) into exactly the series or
-distributions the corresponding paper figure plots.
-``run_simulation_to_trace`` produces such traces from the simulator at a
-chosen scale; benchmarks and examples share it.
+:class:`repro.traces.SegmentedTraceReader`) into exactly the series or
+distributions the corresponding paper figure plots.  ``run_campaign``
+produces such traces from the simulator at a chosen scale; the CLI,
+benchmarks and examples share it.
 """
 
 from __future__ import annotations
@@ -58,11 +58,10 @@ from repro.simulator.checkpoint import (
 from repro.simulator.failures import FaultPlan
 from repro.simulator.protocol import ProtocolConfig, SelectionPolicy
 from repro.simulator.system import SystemConfig, UUSeeSystem
-from repro.traces.faults import ChannelFaults, FaultyChannel
 from repro.traces.health import TraceHealth
 from repro.traces.records import PeerReport
 from repro.traces.segments import SegmentedTraceStore
-from repro.traces.store import JsonlTraceStore, iter_windows
+from repro.traces.store import iter_windows
 from repro.workloads.flashcrowd import FlashCrowdEvent
 
 SECONDS_PER_HOUR = 3_600.0
@@ -109,54 +108,6 @@ def normalize_policy(policy: SelectionPolicy | str) -> tuple[SelectionPolicy, st
     return SelectionPolicy.UUSEE, canonical_spec(name, params)
 
 
-def run_simulation_to_trace(
-    path: str | Path,
-    *,
-    days: float = 14.0,
-    base_concurrency: float = 1_000.0,
-    seed: int = 2006,
-    with_flash_crowd: bool = True,
-    policy: SelectionPolicy | str = SelectionPolicy.UUSEE,
-    protocol: ProtocolConfig | None = None,
-    catalogue: ChannelCatalogue | None = None,
-    faults: FaultPlan | None = None,
-    channel_faults: ChannelFaults | None = None,
-    trace_mode: str = "overwrite",
-    obs: AnyObserver = NULL_OBSERVER,
-) -> Path:
-    """Simulate a UUSee deployment and write its trace to ``path``.
-
-    Returns the path.  The defaults reproduce the paper's two selected
-    weeks at ~1/100 scale, including the day-5 flash crowd.  ``faults``
-    injects infrastructure faults into the simulated system;
-    ``channel_faults`` damages the report stream on its way to disk
-    (producing a dirty trace that needs the tolerant readers).
-    """
-    path = Path(path)
-    policy_enum, overlay = normalize_policy(policy)
-    config = SystemConfig(
-        seed=seed,
-        base_concurrency=base_concurrency,
-        flash_crowd=FlashCrowdEvent() if with_flash_crowd else None,
-        policy=policy_enum,
-        overlay=overlay,
-        protocol=protocol or ProtocolConfig(),
-        faults=faults,
-    )
-    with JsonlTraceStore(path, mode=trace_mode, obs=obs) as store:
-        sink = (
-            FaultyChannel(store, channel_faults, seed=seed)
-            if channel_faults is not None
-            else store
-        )
-        system = UUSeeSystem(config, sink, catalogue=catalogue, obs=obs)
-        with obs.span("campaign.run"):
-            system.run(days=days)
-        if sink is not store:
-            sink.flush()
-    return path
-
-
 @dataclass
 class CampaignResult:
     """Outcome of a (possibly resumed) crash-safe measurement campaign."""
@@ -201,11 +152,9 @@ def run_campaign(
 ) -> CampaignResult:
     """Run a crash-safe campaign: segmented trace + periodic checkpoints.
 
-    The durable sibling of :func:`run_simulation_to_trace` for runs long
-    enough to be killed.  The trace goes to a
-    :class:`~repro.traces.segments.SegmentedTraceStore` under
-    ``trace_dir``; a checkpoint lands in ``checkpoint_dir`` (default
-    ``trace_dir/checkpoints``) every ``checkpoint_every_rounds``
+    The trace goes to a :class:`~repro.traces.segments.SegmentedTraceStore`
+    under ``trace_dir``; a checkpoint lands in ``checkpoint_dir``
+    (default ``trace_dir/checkpoints``) every ``checkpoint_every_rounds``
     completed rounds and once more at the end.
 
     With ``resume=True`` the newest valid checkpoint is restored, the
@@ -511,7 +460,6 @@ def fig1_scale(
     *,
     window_seconds: float = 600.0,
     observe_every: float = 3_600.0,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig1Result:
     """Fig. 1: simultaneous peer counts and daily distinct IPs."""
@@ -523,7 +471,6 @@ def fig1_scale(
         },
         window_seconds=window_seconds,
         observe_every=observe_every,
-        workers=workers,
         obs=obs,
     )
     _require_observations(series, "Fig. 1")
@@ -540,7 +487,6 @@ def fig2_isp_shares(
     *,
     window_seconds: float = 600.0,
     observe_every: float = 6 * SECONDS_PER_HOUR,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> dict[str, float]:
     """Fig. 2: peer shares per ISP, averaged over sampled snapshots."""
@@ -550,7 +496,6 @@ def fig2_isp_shares(
         {"shares": partial(isp_shares, db=db)},
         window_seconds=window_seconds,
         observe_every=observe_every,
-        workers=workers,
         obs=obs,
     )
     totals: dict[str, float] = {}
@@ -600,7 +545,6 @@ def fig3_streaming_quality(
     stream_rate_kbps: float = 400.0,
     window_seconds: float = 600.0,
     observe_every: float = 3_600.0,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig3Result:
     """Fig. 3: fraction of peers with receiving rate >= 90% of the rate."""
@@ -618,7 +562,6 @@ def fig3_streaming_quality(
         metrics,
         window_seconds=window_seconds,
         observe_every=observe_every,
-        workers=workers,
         obs=obs,
     )
     _require_observations(series, "Fig. 3")
@@ -706,7 +649,6 @@ def fig5_degree_evolution(
     *,
     window_seconds: float = 600.0,
     observe_every: float = 3_600.0,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig5Result:
     """Fig. 5: evolution of mean partner count and active in/outdegree."""
@@ -715,7 +657,6 @@ def fig5_degree_evolution(
         {"degrees": average_degrees},
         window_seconds=window_seconds,
         observe_every=observe_every,
-        workers=workers,
         obs=obs,
     )
     return Fig5Result(series=series)
@@ -752,7 +693,6 @@ def fig6_intra_isp_degrees(
     *,
     window_seconds: float = 600.0,
     observe_every: float = 3_600.0,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig6Result:
     """Fig. 6: average intra-ISP proportion of active degrees over time."""
@@ -762,7 +702,6 @@ def fig6_intra_isp_degrees(
         {"intra": partial(intra_isp_degree_fractions, db=db)},
         window_seconds=window_seconds,
         observe_every=observe_every,
-        workers=workers,
         obs=obs,
     )
     return Fig6Result(series=series, random_baseline=random_intra_isp_baseline(db))
@@ -810,7 +749,6 @@ def fig7_small_world(
     window_seconds: float = 600.0,
     observe_every: float = 6 * SECONDS_PER_HOUR,
     seed: int = 0,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig7Result:
     """Fig. 7: C and L of the stable-peer graph vs matched random graphs.
@@ -823,7 +761,6 @@ def fig7_small_world(
         {"sw": partial(small_world, isp=isp, db=db, seed=seed)},
         window_seconds=window_seconds,
         observe_every=observe_every,
-        workers=workers,
         obs=obs,
     )
     return Fig7Result(series=series, isp=isp)
@@ -866,7 +803,6 @@ def fig8_reciprocity(
     *,
     window_seconds: float = 600.0,
     observe_every: float = 3_600.0,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig8Result:
     """Fig. 8: Garlaschelli-Loffredo reciprocity, global and ISP-split."""
@@ -876,7 +812,6 @@ def fig8_reciprocity(
         {"rho": partial(reciprocity_metrics, db=db)},
         window_seconds=window_seconds,
         observe_every=observe_every,
-        workers=workers,
         obs=obs,
     )
     return Fig8Result(series=series)
@@ -918,7 +853,6 @@ def windowed_structure(
     observe_every: float | None = None,
     active_threshold: int = 10,
     resync_every: int = 64,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> SnapshotSeries:
     """Per-window degree/reciprocity/clustering series over a trace.
@@ -928,9 +862,7 @@ def windowed_structure(
     delta-maintained state per window; ``mode="full"`` recomputes each
     window's snapshot and runs the CSR kernels.  Both produce the same
     series bit for bit — the incremental backend exists purely for
-    throughput.  ``workers`` only applies to ``mode="full"`` (the
-    incremental state is inherently serial); ``resync_every`` only to
-    ``mode="incremental"``.
+    throughput.  ``resync_every`` only applies to ``mode="incremental"``.
     """
     if mode == "incremental":
         from repro.soa.incremental import observe_incremental
@@ -950,7 +882,6 @@ def windowed_structure(
             window_seconds=window_seconds,
             observe_every=observe_every,
             active_threshold=active_threshold,
-            workers=workers,
             obs=obs,
         )
     raise ValueError(f"unknown analytics mode {mode!r} (incremental|full)")

@@ -4,23 +4,15 @@ The paper's evolution figures (1A, 5, 6, 7, 8) plot a metric computed on
 back-to-back snapshots across two weeks.  ``observe`` streams a trace
 once, materialising a snapshot per observation instant and applying any
 number of metric functions to it — so a multi-hundred-MB trace is never
-resident in memory.
-
-Snapshots are independent, so ``observe(..., workers=N)`` fans the
-per-window work (snapshot build + metric evaluation) out over a process
-pool.  Windows are submitted as the trace streams past a bounded
-in-flight queue and results are appended strictly in submission order,
-so the resulting series — and anything rendered from it — is
-byte-identical to the serial path for every worker count.
+resident in memory.  It runs in one process: trace decode, not snapshot
+work, dominates an analysis, so fanning windows out to worker processes
+does not pay (DESIGN.md Sec. 8).
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
-from collections import deque
 from collections.abc import Callable, Iterable
-from concurrent.futures import Future, ProcessPoolExecutor
 
 from repro.core.snapshots import TopologySnapshot, build_snapshot
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
@@ -56,91 +48,6 @@ class SnapshotSeries:
             yield t, {k: v[i] for k, v in self.values.items()}
 
 
-# Per-worker state, installed once by the pool initializer so each
-# window task ships only its reports, not the metric table.
-_worker_metrics: dict[str, MetricFn] = {}
-_worker_window_seconds: float = 600.0
-_worker_active_threshold: int = 10
-
-
-def _init_observe_worker(payload: bytes) -> None:
-    """Process-pool initializer: unpack the pickled observation config."""
-    global _worker_metrics, _worker_window_seconds, _worker_active_threshold
-    _worker_metrics, _worker_window_seconds, _worker_active_threshold = (
-        pickle.loads(payload)
-    )
-
-
-def _observe_window(
-    window_start: float, window_reports: list[PeerReport]
-) -> tuple[dict[str, object], int]:
-    """Worker body: build one window's snapshot and apply every metric."""
-    snapshot = build_snapshot(
-        window_reports,
-        time=window_start,
-        window_seconds=_worker_window_seconds,
-        active_threshold=_worker_active_threshold,
-    )
-    row = {name: fn(snapshot) for name, fn in _worker_metrics.items()}
-    return row, snapshot.num_total
-
-
-def _observe_parallel(
-    reports: Iterable[PeerReport],
-    metrics: dict[str, MetricFn],
-    *,
-    window_seconds: float,
-    observe_every: float,
-    start: float,
-    active_threshold: int,
-    workers: int,
-    obs: AnyObserver,
-) -> SnapshotSeries:
-    """Fan observation windows out over a process pool, in order."""
-    try:
-        payload = pickle.dumps((metrics, window_seconds, active_threshold))
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:
-        raise ValueError(
-            "metrics must be picklable for workers > 1: use module-level "
-            "functions or functools.partial instead of lambdas/closures"
-        ) from exc
-    series = SnapshotSeries()
-    pending: deque[tuple[float, Future[tuple[dict[str, object], int]]]] = (
-        deque()
-    )
-    max_pending = workers * 4
-
-    def drain(down_to: int) -> None:
-        while len(pending) > down_to:
-            window_start, future = pending.popleft()
-            row, num_total = future.result()
-            if obs.enabled:
-                obs.count("analytics.snapshots")
-                obs.gauge_set("analytics.snapshot_nodes", num_total)
-            series.append(window_start, row)
-
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_observe_worker,
-        initargs=(payload,),
-    ) as pool:
-        for window_start, window_reports in iter_windows(
-            reports, window_seconds, start=start
-        ):
-            offset = window_start - start
-            if (offset % observe_every) > 1e-9:
-                continue
-            pending.append(
-                (
-                    window_start,
-                    pool.submit(_observe_window, window_start, window_reports),
-                )
-            )
-            drain(max_pending - 1)
-        drain(0)
-    return series
-
-
 def observe(
     reports: Iterable[PeerReport],
     metrics: dict[str, MetricFn],
@@ -149,7 +56,6 @@ def observe(
     observe_every: float | None = None,
     start: float = 0.0,
     active_threshold: int = 10,
-    workers: int = 1,
     obs: AnyObserver = NULL_OBSERVER,
 ) -> SnapshotSeries:
     """Apply ``metrics`` to the snapshot of each observation window.
@@ -157,13 +63,6 @@ def observe(
     ``observe_every`` subsamples: only windows starting on a multiple of
     it (relative to ``start``) are materialised — e.g. hourly snapshots
     from a 10-minute-resolution trace.  Defaults to every window.
-
-    ``workers > 1`` evaluates windows on a process pool (metrics must be
-    picklable — module-level functions or ``functools.partial``, not
-    lambdas).  Results are reassembled in window order, so the series is
-    byte-identical to the serial path for any worker count; per-metric
-    obs spans are only recorded on the serial path (the snapshot counter
-    and node gauge are kept either way).
 
     With an enabled ``obs``, each materialised snapshot is timed under
     the ``analytics.snapshot`` span and every metric function under
@@ -174,19 +73,6 @@ def observe(
         observe_every = window_seconds
     if observe_every < window_seconds:
         raise ValueError("observe_every must be >= window_seconds")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers > 1:
-        return _observe_parallel(
-            reports,
-            metrics,
-            window_seconds=window_seconds,
-            observe_every=observe_every,
-            start=start,
-            active_threshold=active_threshold,
-            workers=workers,
-            obs=obs,
-        )
     series = SnapshotSeries()
     for window_start, window_reports in iter_windows(
         reports, window_seconds, start=start

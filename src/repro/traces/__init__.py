@@ -8,10 +8,11 @@ throughput, and a list of all partners with per-partner sent/received
 segment counts.  Reports travel over UDP (lossy) to a standalone trace
 server, which appends them to a trace store.
 
+On disk a trace is one format: a segmented campaign directory written
+by ``SegmentedTraceStore`` and read back by ``SegmentedTraceReader``.
 Because the real collection path was a lossy Internet UDP path, this
 package also carries a fault-injection layer (``FaultyChannel``) and a
-dirty-trace-tolerant read path (``TraceReader(tolerant=True)``,
-``TolerantTraceReader``, ``iter_windows(tolerant=True)``) whose
+tolerant read mode (``SegmentedTraceReader(tolerant=True)``) whose
 accounting lands in a ``TraceHealth``.
 """
 
@@ -29,10 +30,7 @@ from repro.traces.segments import (
 )
 from repro.traces.store import (
     InMemoryTraceStore,
-    JsonlTraceStore,
-    TolerantTraceReader,
     TraceFormatError,
-    TraceReader,
     TraceStoreClosedError,
     TraceTruncatedError,
     iter_windows,
@@ -51,14 +49,11 @@ __all__ = [
     "ChannelFaults",
     "FaultyChannel",
     "InMemoryTraceStore",
-    "JsonlTraceStore",
     "SegmentInfo",
     "SegmentRecoveryError",
     "SegmentedTraceReader",
     "SegmentedTraceStore",
-    "TolerantTraceReader",
     "TraceFormatError",
-    "TraceReader",
     "TraceStoreClosedError",
     "TraceTruncatedError",
     "iter_windows",

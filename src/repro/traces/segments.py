@@ -15,9 +15,9 @@ line or gzip tail of the active segment, and reopens for append exactly
 at the recovery point, accumulating everything it repaired into a
 :class:`~repro.traces.health.TraceHealth`.  :meth:`rollback` cuts the
 store back to a checkpoint's record count so a resumed campaign rejoins
-byte-for-byte.  :class:`SegmentedTraceReader` is the matching
-multi-segment read path — a re-iterable drop-in wherever analytics
-(``iter_windows`` included) expects a time-ordered report stream.
+byte-for-byte.  :class:`SegmentedTraceReader` is the one trace read
+path, strict or tolerant — a re-iterable, time-ordered report stream
+for ``iter_windows`` and every analysis.
 
 Compressed segments are written with a zeroed gzip mtime so identical
 content compresses to identical bytes across runs; note that a
@@ -35,18 +35,20 @@ import json
 import os
 import re
 import zlib
+from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, TextIO
+from typing import BinaryIO, TextIO, cast
 
 from repro.ioutil import atomic_write_bytes
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
 from repro.traces.health import TraceHealth
 from repro.traces.records import PeerReport
 from repro.traces.store import (
-    TraceReader,
+    TraceFormatError,
     TraceStoreClosedError,
+    TraceTruncatedError,
     sanitize,
 )
 
@@ -57,6 +59,15 @@ MANIFEST_VERSION = 1
 
 _SEGMENT_RE = re.compile(r"^seg-(\d{8})\.jsonl(\.gz)?$")
 _QUARANTINE_SUFFIX = ".quarantined"
+
+#: Exceptions a torn or damaged gzip stream raises while being read;
+#: ``EOFError`` is the torn-tail signature (killed collector), the other
+#: two appear when compressed bytes themselves are damaged.
+_GZIP_DAMAGE = (EOFError, gzip.BadGzipFile, zlib.error)
+
+#: Deduplication memory of the tolerant reader: enough to catch the
+#: adjacent re-deliveries a UDP path produces without unbounded state.
+_DEDUP_CAPACITY = 8_192
 
 
 class SegmentRecoveryError(RuntimeError):
@@ -76,6 +87,18 @@ def _segment_index(name: str) -> int | None:
     """The 1-based index encoded in a segment file name, else None."""
     match = _SEGMENT_RE.match(name)
     return int(match.group(1)) if match else None
+
+
+def _scan_segments(directory: Path) -> list[tuple[int, Path]]:
+    """``(index, path)`` of every segment file in ``directory``, in index
+    order."""
+    found: list[tuple[int, Path]] = []
+    for path in directory.iterdir():
+        index = _segment_index(path.name)
+        if index is not None:
+            found.append((index, path))
+    found.sort()
+    return found
 
 
 def _scan_content(data: bytes) -> tuple[int, bytes, bool]:
@@ -154,7 +177,7 @@ class SegmentedTraceStore:
         #: What the most recent :meth:`recover` repaired (clean here).
         self.health = TraceHealth()
         self.directory.mkdir(parents=True, exist_ok=True)
-        if (self.directory / MANIFEST_NAME).exists() or self._disk_segments():
+        if (self.directory / MANIFEST_NAME).exists() or _scan_segments(self.directory):
             raise FileExistsError(
                 f"{self.directory} already holds a segmented trace; "
                 "reopen it with SegmentedTraceStore.recover()"
@@ -175,16 +198,6 @@ class SegmentedTraceStore:
 
     def _segment_path(self, index: int) -> Path:
         return self.directory / self._segment_name(index)
-
-    def _disk_segments(self) -> list[tuple[int, Path]]:
-        """(index, path) for every segment file on disk, index order."""
-        found: list[tuple[int, Path]] = []
-        for path in self.directory.iterdir() if self.directory.exists() else ():
-            index = _segment_index(path.name)
-            if index is not None:
-                found.append((index, path))
-        found.sort()
-        return found
 
     # -- append path -------------------------------------------------------
 
@@ -322,7 +335,7 @@ class SegmentedTraceStore:
         segment files.  Requires the store to be closed (or synced).
         """
         digest = hashlib.sha256()
-        for _, path in self._disk_segments():
+        for _, path in _scan_segments(self.directory):
             data, _ = _read_segment_bytes(path, path.suffix == ".gz")
             digest.update(data)
         return digest.hexdigest()
@@ -385,13 +398,7 @@ class SegmentedTraceStore:
         store._raw = None
 
         manifest = cls._load_manifest(manifest_path)
-        disk = {
-            index: path
-            for index, path in sorted(
-                (i, p)
-                for i, p in cls._scan_disk(directory)
-            )
-        }
+        disk = dict(_scan_segments(directory))
         if manifest is None and not disk:
             raise SegmentRecoveryError(
                 f"{directory}: not a segmented trace "
@@ -509,15 +516,6 @@ class SegmentedTraceStore:
         return manifest
 
     @staticmethod
-    def _scan_disk(directory: Path) -> list[tuple[int, Path]]:
-        found: list[tuple[int, Path]] = []
-        for path in directory.iterdir():
-            index = _segment_index(path.name)
-            if index is not None:
-                found.append((index, path))
-        return found
-
-    @staticmethod
     def _quarantine(path: Path) -> None:
         os.replace(path, path.with_name(path.name + _QUARANTINE_SUFFIX))
 
@@ -622,15 +620,23 @@ class SegmentedTraceStore:
 
 
 class SegmentedTraceReader:
-    """Re-iterable multi-segment read path (strict or tolerant).
+    """Re-iterable read path over a segment directory (strict or tolerant).
 
     Iterates every segment of a directory in index order — sealed or
-    not — as one continuous report stream, so ``iter_windows`` and all
-    ``repro.core`` analytics consume a segmented campaign trace exactly
-    like a single-file one.  With ``tolerant=True`` each segment is read
-    through the tolerant parser and the combined stream is re-sorted
-    with :func:`~repro.traces.store.sanitize` (reordering can straddle a
-    segment boundary); :attr:`health` accumulates the whole pass.
+    not — as one continuous report stream, which is what
+    ``iter_windows`` and all ``repro.core`` analytics consume.
+
+    In strict mode (default) a malformed line raises
+    :class:`~repro.traces.store.TraceFormatError` naming the segment
+    and line number — or
+    :class:`~repro.traces.store.TraceTruncatedError` when the damage is
+    an incomplete final line or a torn gzip tail, the signature of a
+    collector killed mid-write.  With ``tolerant=True`` bad lines are
+    skipped, exact re-deliveries dropped (one dedup window spans every
+    segment boundary), garbage-valued records quarantined, and the
+    stream re-sorted with :func:`~repro.traces.store.sanitize`
+    (reordering can straddle a segment boundary).  :attr:`health`
+    accounts the most recent complete pass.
     """
 
     def __init__(
@@ -648,18 +654,90 @@ class SegmentedTraceReader:
 
     def segment_paths(self) -> list[Path]:
         """Every segment file in the directory, in index order."""
-        found: list[tuple[int, Path]] = []
-        for path in self.directory.iterdir():
-            index = _segment_index(path.name)
-            if index is not None:
-                found.append((index, path))
-        return [path for _, path in sorted(found)]
+        return [path for _, path in _scan_segments(self.directory)]
+
+    def _lines(self, path: Path, fh: io.TextIOBase) -> Iterator[tuple[int, str]]:
+        """Yield ``(lineno, raw_line)`` of one segment, absorbing a torn
+        gzip tail.
+
+        A gzip stream cut off mid-write raises ``EOFError`` (not a bad
+        JSON line) the moment iteration crosses the damage; damaged
+        compressed bytes raise ``BadGzipFile``/``zlib.error``.  Tolerant
+        mode counts the damage as a truncation and ends the segment —
+        everything before the tear was already yielded; strict mode
+        raises :class:`~repro.traces.store.TraceTruncatedError`.
+        """
+        lineno = 0
+        while True:
+            try:
+                raw = next(fh)
+            except StopIteration:
+                return
+            except _GZIP_DAMAGE as exc:
+                if self.tolerant:
+                    self.health.truncated_lines += 1
+                    return
+                raise TraceTruncatedError(
+                    f"{path}: compressed stream damaged after line "
+                    f"{lineno} (collector killed mid-write?); re-read with "
+                    "tolerant=True to keep the intact prefix"
+                ) from exc
+            lineno += 1
+            yield lineno, raw
+
+    def _parse_segment(
+        self, path: Path, seen: OrderedDict[tuple[float, int], None]
+    ) -> Iterator[PeerReport]:
+        """Parse one segment file; ``seen`` is the cross-segment dedup
+        window of a tolerant pass."""
+        health = self.health
+        if path.suffix == ".gz":
+            fh = cast(io.TextIOBase, gzip.open(path, "rt"))
+        else:
+            fh = cast(io.TextIOBase, open(path))
+        with fh:
+            for lineno, raw in self._lines(path, fh):
+                line = raw.strip()
+                if not line:
+                    continue
+                health.lines_read += 1
+                try:
+                    report = PeerReport.from_json(line)
+                except (ValueError, KeyError, TypeError) as exc:
+                    truncated = not raw.endswith("\n")
+                    if self.tolerant:
+                        if truncated:
+                            health.truncated_lines += 1
+                        else:
+                            health.parse_failures += 1
+                        continue
+                    if truncated:
+                        raise TraceTruncatedError(
+                            f"{path}: truncated final line {lineno} "
+                            "(collector killed mid-write?); re-read with "
+                            "tolerant=True to skip it"
+                        ) from exc
+                    raise TraceFormatError(
+                        f"{path}: malformed record on line {lineno}: {exc}"
+                    ) from exc
+                if self.tolerant:
+                    if not report.is_wellformed():
+                        health.quarantined += 1
+                        continue
+                    key = (report.time, report.peer_ip)
+                    if key in seen:
+                        health.duplicates += 1
+                        continue
+                    seen[key] = None
+                    if len(seen) > _DEDUP_CAPACITY:
+                        seen.popitem(last=False)
+                health.records_ok += 1
+                yield report
 
     def _raw_reports(self) -> Iterator[PeerReport]:
+        seen: OrderedDict[tuple[float, int], None] = OrderedDict()
         for path in self.segment_paths():
-            reader = TraceReader(path, tolerant=self.tolerant)
-            yield from reader
-            self.health.merge(reader.health)
+            yield from self._parse_segment(path, seen)
 
     def __iter__(self) -> Iterator[PeerReport]:
         self.health.reset()

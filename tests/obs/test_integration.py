@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.core.experiments import run_campaign, run_simulation_to_trace
+from repro.core.experiments import run_campaign
 from repro.core.timeseries import round_event_series
 from repro.obs import (
     Observer,
@@ -66,18 +66,22 @@ def _counters(obs):
 
 class TestTraceNeutrality:
     def test_trace_bytes_identical_obs_on_vs_off(self, tmp_path):
-        plain = tmp_path / "plain.jsonl"
-        observed = tmp_path / "observed.jsonl"
-        run_simulation_to_trace(
+        plain = tmp_path / "plain"
+        observed = tmp_path / "observed"
+        run_campaign(
             plain, days=DAYS, base_concurrency=BASE, seed=SEED,
             with_flash_crowd=False,
         )
         obs = Observer()
-        run_simulation_to_trace(
+        run_campaign(
             observed, days=DAYS, base_concurrency=BASE, seed=SEED,
             with_flash_crowd=False, obs=obs,
         )
-        assert observed.read_bytes() == plain.read_bytes()
+        segments = sorted(p.name for p in plain.glob("seg-*"))
+        assert segments
+        assert sorted(p.name for p in observed.glob("seg-*")) == segments
+        for name in segments:
+            assert (observed / name).read_bytes() == (plain / name).read_bytes()
         # and the observer actually saw the run
         assert obs.registry.counter("sim.rounds").value > 0
 

@@ -1,29 +1,28 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
 
+#: The arguments of the shared CLI trace, after the output option.
+CLI_TRACE_ARGS = ["--days", "0.4", "--base", "120", "--seed", "5", "--no-flash-crowd"]
+
+
+def content_sha256(trace_dir):
+    """sha256 over the (uncompressed) segments of a campaign directory."""
+    digest = hashlib.sha256()
+    for path in sorted(trace_dir.glob("seg-*.jsonl")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
 
 @pytest.fixture(scope="module")
 def cli_trace(tmp_path_factory):
-    """A tiny simulated trace produced through the CLI itself."""
-    path = tmp_path_factory.mktemp("cli") / "trace.jsonl.gz"
-    rc = main(
-        [
-            "simulate",
-            "--out",
-            str(path),
-            "--days",
-            "0.4",
-            "--base",
-            "120",
-            "--seed",
-            "5",
-            "--no-flash-crowd",
-        ]
-    )
-    assert rc == 0
+    """A tiny simulated campaign directory produced through the CLI itself."""
+    path = tmp_path_factory.mktemp("cli") / "trace"
+    assert main(["simulate", "--out", str(path), *CLI_TRACE_ARGS]) == 0
     return path
 
 
@@ -31,12 +30,19 @@ class TestParser:
     def test_commands_exist(self):
         parser = build_parser()
         for argv in (
-            ["simulate", "--out", "x.jsonl"],
-            ["analyze", "--trace", "x.jsonl"],
-            ["info", "--trace", "x.jsonl"],
+            ["simulate", "--out", "x"],
+            ["run", "--trace-dir", "x"],
+            ["analyze", "--trace", "x"],
+            ["info", "--trace", "x"],
         ):
             args = parser.parse_args(argv)
             assert args.command == argv[0]
+
+    def test_simulate_is_an_alias_of_run(self):
+        parser = build_parser()
+        alias = parser.parse_args(["simulate", "--out", "d", "--days", "1"])
+        run = parser.parse_args(["run", "--trace-dir", "d", "--days", "1"])
+        assert vars(alias) == {**vars(run), "command": "simulate"}
 
     def test_figure_choices(self):
         parser = build_parser()
@@ -111,8 +117,30 @@ class TestRunCampaign:
 
 class TestSimulate:
     def test_trace_created(self, cli_trace):
-        assert cli_trace.exists()
-        assert cli_trace.stat().st_size > 1000
+        assert (cli_trace / "manifest.json").exists()
+        segments = list(cli_trace.glob("seg-*.jsonl"))
+        assert len(segments) == 1
+        assert segments[0].stat().st_size > 1000
+
+    def test_trace_content_pinned(self, cli_trace):
+        # The content the retired single-file writer produced for the
+        # same arguments: the campaign directory holds the same bytes.
+        assert content_sha256(cli_trace) == (
+            "a1fdcdc05ec58688c549b6fdaa62123aad0d3f46801810f7e8f4f5c67edd7855"
+        )
+
+    def test_out_and_trace_dir_write_the_same_trace(self, cli_trace, tmp_path):
+        other = tmp_path / "run"
+        assert main(["run", "--trace-dir", str(other), *CLI_TRACE_ARGS]) == 0
+        assert content_sha256(other) == content_sha256(cli_trace)
+
+    def test_refuses_existing_campaign(self, cli_trace, capsys):
+        before = content_sha256(cli_trace)
+        capsys.readouterr()
+        rc = main(["simulate", "--out", str(cli_trace), *CLI_TRACE_ARGS])
+        assert rc == 2
+        assert "already holds a segmented trace" in capsys.readouterr().err
+        assert content_sha256(cli_trace) == before
 
 
 class TestInfo:
@@ -127,13 +155,21 @@ class TestInfo:
         assert rc == 2
         assert "no such trace" in capsys.readouterr().err
 
+    def test_file_trace_rejected(self, cli_trace, capsys):
+        # A single trace file (the pre-directory format) is refused with
+        # a one-line error instead of a traceback.
+        segment = next(cli_trace.glob("seg-*.jsonl"))
+        assert main(["info", "--trace", str(segment)]) == 2
+        err = capsys.readouterr().err
+        assert "not a campaign directory" in err
+        assert err.count("\n") == 1
+
     def test_tolerant_reports_health(self, cli_trace, tmp_path, capsys):
         # a dirty copy: duplicate one line, truncate the last one
-        import gzip
-
-        lines = gzip.open(cli_trace, "rt").readlines()
-        dirty = tmp_path / "dirty.jsonl"
-        dirty.write_text(
+        lines = next(cli_trace.glob("seg-*.jsonl")).read_text().splitlines(True)
+        dirty = tmp_path / "dirty"
+        dirty.mkdir()
+        (dirty / "seg-00000001.jsonl").write_text(
             lines[0] + lines[0] + "".join(lines[1:-1]) + lines[-1][:30]
         )
         assert main(["info", "--trace", str(dirty), "--tolerant"]) == 0
@@ -158,7 +194,7 @@ class TestAnalyze:
         # in any on-the-hour window: Figs. 1 and 3 must skip, not crash.
         import json
 
-        trace = tmp_path / "short.jsonl"
+        trace = tmp_path / "short"
         argv = ["simulate", "--out", str(trace), "--days", "0.04",
                 "--base", "300", "--seed", "3"]
         assert main(argv) == 0
@@ -191,6 +227,14 @@ class TestAnalyze:
     def test_missing_trace(self, tmp_path):
         rc = main(["analyze", "--trace", str(tmp_path / "gone.jsonl")])
         assert rc == 2
+
+    def test_file_trace_rejected(self, tmp_path, capsys):
+        legacy = tmp_path / "trace.jsonl"
+        legacy.write_text("{}\n")
+        assert main(["analyze", "--trace", str(legacy)]) == 2
+        err = capsys.readouterr().err
+        assert "not a campaign directory" in err
+        assert err.count("\n") == 1
 
     def test_all_figures_on_short_trace(self, cli_trace, capsys):
         # every analyzer either renders or reports a graceful skip
@@ -264,29 +308,6 @@ class TestObservability:
         assert set(doc["figures"]) == {
             "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"
         }
-
-    def test_analyze_workers_byte_identical(self, cli_trace, capsys):
-        assert main(
-            [
-                "analyze", "--trace", str(cli_trace), "--figure", "fig1",
-                "--json", "--workers", "1",
-            ]
-        ) == 0
-        serial = capsys.readouterr().out
-        assert main(
-            [
-                "analyze", "--trace", str(cli_trace), "--figure", "fig1",
-                "--json", "--workers", "2",
-            ]
-        ) == 0
-        assert capsys.readouterr().out == serial
-
-    def test_analyze_workers_must_be_positive(self, cli_trace, capsys):
-        rc = main(
-            ["analyze", "--trace", str(cli_trace), "--workers", "0"]
-        )
-        assert rc == 2
-        assert "workers" in capsys.readouterr().err
 
     def test_analyze_obs_dir_profiles_analytics(self, cli_trace, tmp_path, capsys):
         obs_dir = tmp_path / "ana-obs"
@@ -366,7 +387,7 @@ class TestCompareOverlays:
     def test_simulate_rejects_bad_policy(self, tmp_path, capsys):
         rc = main(
             [
-                "simulate", "--out", str(tmp_path / "t.jsonl"),
+                "simulate", "--out", str(tmp_path / "t"),
                 "--days", "0.05", "--policy", "locality:mix=5",
             ]
         )

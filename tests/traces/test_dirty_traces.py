@@ -1,4 +1,5 @@
-"""Tests for channel fault injection and the dirty-trace-tolerant readers."""
+"""Tests for channel fault injection and the dirty-trace-tolerant read
+mode, on one-segment campaign directories."""
 
 import pytest
 
@@ -6,17 +7,27 @@ from repro.traces import (
     ChannelFaults,
     FaultyChannel,
     InMemoryTraceStore,
-    JsonlTraceStore,
     PartnerRecord,
     PeerReport,
-    TolerantTraceReader,
+    SegmentedTraceReader,
+    SegmentedTraceStore,
     TraceFormatError,
     TraceHealth,
-    TraceReader,
     TraceTruncatedError,
     iter_windows,
     sanitize,
 )
+
+#: File name of the first (here: only) segment of a trace directory.
+SEGMENT = "seg-00000001.jsonl"
+
+
+def write_segment(directory, lines):
+    """A one-segment trace directory holding exactly ``lines`` (raw)."""
+    directory.mkdir()
+    path = directory / SEGMENT
+    path.write_text("".join(lines))
+    return path
 
 
 def report_at(t, ip=1, buffer_fill=0.5):
@@ -110,18 +121,17 @@ class TestFaultyChannel:
         assert runs / losses > 0.5
 
     def test_corruption_writes_truncated_lines(self, tmp_path):
-        path = tmp_path / "corrupt.jsonl"
+        path = tmp_path / "corrupt"
         faults = ChannelFaults(corrupt_rate=0.2)
-        with JsonlTraceStore(path) as store:
-            with FaultyChannel(store, faults, seed=2) as channel:
-                for i in range(100):
-                    channel.append(report_at(float(i)))
+        with FaultyChannel(SegmentedTraceStore(path), faults, seed=2) as channel:
+            for i in range(100):
+                channel.append(report_at(float(i)))
         counters = channel.counters
         assert counters.corrupted > 0
         with pytest.raises(TraceFormatError) as err:
-            list(TraceReader(path))
+            list(SegmentedTraceReader(path))
         assert "line" in str(err.value)
-        reader = TraceReader(path, tolerant=True)
+        reader = SegmentedTraceReader(path, tolerant=True)
         good = list(reader)
         assert len(good) == counters.delivered
         assert reader.health.parse_failures == counters.corrupted
@@ -138,24 +148,26 @@ class TestFaultyChannel:
 
 
 class TestTruncatedFinalLine:
-    def _write_truncated(self, path):
-        with open(path, "w") as fh:
-            fh.write(report_at(1.0).to_json() + "\n")
-            fh.write(report_at(2.0).to_json() + "\n")
-            fh.write(report_at(3.0).to_json()[:25])  # killed mid-write
+    def _write_truncated(self, directory):
+        return write_segment(
+            directory,
+            [
+                report_at(1.0).to_json() + "\n",
+                report_at(2.0).to_json() + "\n",
+                report_at(3.0).to_json()[:25],  # killed mid-write
+            ],
+        )
 
     def test_strict_raises_naming_line(self, tmp_path):
-        path = tmp_path / "trunc.jsonl"
-        self._write_truncated(path)
+        path = self._write_truncated(tmp_path / "trunc")
         with pytest.raises(TraceTruncatedError) as err:
-            list(TraceReader(path))
+            list(SegmentedTraceReader(tmp_path / "trunc"))
         assert "line 3" in str(err.value)
         assert str(path) in str(err.value)
 
     def test_tolerant_skips_and_counts(self, tmp_path):
-        path = tmp_path / "trunc.jsonl"
-        self._write_truncated(path)
-        reader = TraceReader(path, tolerant=True)
+        self._write_truncated(tmp_path / "trunc")
+        reader = SegmentedTraceReader(tmp_path / "trunc", tolerant=True)
         reports = list(reader)
         assert [r.time for r in reports] == [1.0, 2.0]
         assert reader.health.truncated_lines == 1
@@ -168,20 +180,21 @@ class TestTruncatedGzipTail:
     end-of-stream marker; the stdlib raises ``EOFError`` mid-iteration,
     which must surface as a counted truncation, not a crash."""
 
-    def _write_torn_gzip(self, path, n=200):
+    def _write_torn_gzip(self, directory, n=200):
         import os
 
-        with JsonlTraceStore(path, flush_every=10) as store:
+        with SegmentedTraceStore(directory, compress=True, flush_every=10) as store:
             for i in range(n):
                 store.append(report_at(float(i), ip=i + 1))
         # Cut into the final deflate block: the stream now ends before
         # its end-of-stream marker, exactly what a kill mid-write leaves.
+        path = directory / (SEGMENT + ".gz")
         os.truncate(path, path.stat().st_size - 30)
 
     def test_tolerant_counts_truncation_and_keeps_prefix(self, tmp_path):
-        path = tmp_path / "torn.jsonl.gz"
+        path = tmp_path / "torn"
         self._write_torn_gzip(path)
-        reader = TraceReader(path, tolerant=True)
+        reader = SegmentedTraceReader(path, tolerant=True)
         reports = list(reader)
         # Everything the damaged stream can still decode survives.
         assert len(reports) > 150
@@ -190,21 +203,21 @@ class TestTruncatedGzipTail:
         assert reader.health.parse_failures == 0
 
     def test_strict_raises_truncated_error(self, tmp_path):
-        path = tmp_path / "torn.jsonl.gz"
+        path = tmp_path / "torn"
         self._write_torn_gzip(path)
         with pytest.raises(TraceTruncatedError) as err:
-            list(TraceReader(path))
+            list(SegmentedTraceReader(path))
         assert "tolerant=True" in str(err.value)
 
 
 class TestTolerantReader:
     def test_duplicates_dropped_exactly(self, tmp_path):
-        path = tmp_path / "dup.jsonl"
-        with JsonlTraceStore(path) as store:
+        path = tmp_path / "dup"
+        with SegmentedTraceStore(path) as store:
             for i in range(10):
                 store.append(report_at(float(i), ip=1))
                 store.append(report_at(float(i), ip=1))  # exact re-delivery
-        reader = TraceReader(path, tolerant=True)
+        reader = SegmentedTraceReader(path, tolerant=True)
         reports = list(reader)
         assert len(reports) == 10
         assert reader.health.duplicates == 10
@@ -212,23 +225,22 @@ class TestTolerantReader:
         assert reader.health.lines_read == 20
 
     def test_quarantines_garbage_values(self, tmp_path):
-        path = tmp_path / "garbage.jsonl"
         bad = report_at(5.0).to_json().replace('"rr":400.0', '"rr":NaN')
-        with open(path, "w") as fh:
-            fh.write(report_at(1.0).to_json() + "\n")
-            fh.write(bad + "\n")
-            fh.write(report_at(9.0).to_json() + "\n")
-        reader = TraceReader(path, tolerant=True)
+        write_segment(
+            tmp_path / "garbage",
+            [report_at(1.0).to_json() + "\n", bad + "\n", report_at(9.0).to_json() + "\n"],
+        )
+        reader = SegmentedTraceReader(tmp_path / "garbage", tolerant=True)
         reports = list(reader)
         assert [r.time for r in reports] == [1.0, 9.0]
         assert reader.health.quarantined == 1
 
     def test_health_resets_each_iteration(self, tmp_path):
-        path = tmp_path / "dup.jsonl"
-        with JsonlTraceStore(path) as store:
+        path = tmp_path / "dup"
+        with SegmentedTraceStore(path) as store:
             store.append(report_at(1.0))
             store.append(report_at(1.0))
-        reader = TraceReader(path, tolerant=True)
+        reader = SegmentedTraceReader(path, tolerant=True)
         list(reader)
         list(reader)
         assert reader.health.duplicates == 1  # not 2: per-pass counters
@@ -261,32 +273,33 @@ class TestSanitize:
 
 
 class TestTolerantWindows:
-    def test_reordered_stream_windows_cleanly(self):
-        times = [0.0, 650.0, 500.0, 700.0, 1300.0]  # 500 after 650
-        reports = [report_at(t) for t in times]
+    def test_reordered_stream_windows_cleanly(self, tmp_path):
+        path = tmp_path / "reordered"
+        with SegmentedTraceStore(path) as store:
+            for t in [0.0, 650.0, 500.0, 700.0, 1300.0]:  # 500 after 650
+                store.append(report_at(t))
         with pytest.raises(ValueError):
-            list(iter_windows(reports, 600.0))
-        health = TraceHealth()
-        windows = list(iter_windows(reports, 600.0, tolerant=True, health=health))
+            list(iter_windows(SegmentedTraceReader(path), 600.0))
+        reader = SegmentedTraceReader(path, tolerant=True, slack_s=600.0)
+        windows = list(iter_windows(reader, 600.0))
         assert [w for w, _ in windows] == [0.0, 600.0, 1200.0]
         assert [len(rs) for _, rs in windows] == [2, 2, 1]
-        assert health.reordered == 1
+        assert reader.health.reordered == 1
 
 
 class TestTolerantTraceReaderEndToEnd:
     def test_combined_health_and_reiterability(self, tmp_path):
-        path = tmp_path / "dirty.jsonl"
+        path = tmp_path / "dirty"
         faults = ChannelFaults(
             loss_rate=0.05,
             duplicate_rate=0.05,
             reorder_rate=0.05,
             corrupt_rate=0.02,
         )
-        with JsonlTraceStore(path) as store:
-            with FaultyChannel(store, faults, seed=13) as channel:
-                for i in range(2000):
-                    channel.append(report_at(float(i * 10), ip=i % 40))
-        trace = TolerantTraceReader(path, slack_s=300.0)
+        with FaultyChannel(SegmentedTraceStore(path), faults, seed=13) as channel:
+            for i in range(2000):
+                channel.append(report_at(float(i * 10), ip=i % 40))
+        trace = SegmentedTraceReader(path, tolerant=True, slack_s=300.0)
         first = [r.time for r in trace]
         assert first == sorted(first)
         h = trace.health
@@ -300,41 +313,26 @@ class TestTolerantTraceReaderEndToEnd:
 
 class TestStoreModes:
     def test_create_refuses_existing(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with JsonlTraceStore(path) as store:
+        path = tmp_path / "t"
+        with SegmentedTraceStore(path) as store:
             store.append(report_at(1.0))
         with pytest.raises(FileExistsError):
-            JsonlTraceStore(path)
+            SegmentedTraceStore(path)
+        assert [r.time for r in SegmentedTraceReader(path)] == [1.0]
 
-    def test_append_extends(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with JsonlTraceStore(path) as store:
-            store.append(report_at(1.0))
-        with JsonlTraceStore(path, mode="append") as store:
-            store.append(report_at(2.0))
-        assert [r.time for r in TraceReader(path)] == [1.0, 2.0]
-
-    def test_overwrite_truncates(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with JsonlTraceStore(path) as store:
-            store.append(report_at(1.0))
-        with JsonlTraceStore(path, mode="overwrite") as store:
-            store.append(report_at(9.0))
-        assert [r.time for r in TraceReader(path)] == [9.0]
-
-    def test_invalid_mode_and_flush_every(self, tmp_path):
+    def test_invalid_segment_size_and_flush_every(self, tmp_path):
         with pytest.raises(ValueError):
-            JsonlTraceStore(tmp_path / "x.jsonl", mode="truncate")
+            SegmentedTraceStore(tmp_path / "x", records_per_segment=0)
         with pytest.raises(ValueError):
-            JsonlTraceStore(tmp_path / "x.jsonl", flush_every=0)
+            SegmentedTraceStore(tmp_path / "y", flush_every=0)
 
     def test_flush_every_leaves_readable_prefix(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        store = JsonlTraceStore(path, flush_every=10)
+        path = tmp_path / "t"
+        store = SegmentedTraceStore(path, flush_every=10)
         for i in range(25):
             store.append(report_at(float(i)))
         # not closed: the flushed prefix (>= 20 records) is readable
-        visible = list(TraceReader(path, tolerant=True))
+        visible = list(SegmentedTraceReader(path, tolerant=True))
         assert len(visible) >= 20
         store.close()
-        assert len(list(TraceReader(path))) == 25
+        assert len(list(SegmentedTraceReader(path))) == 25

@@ -119,6 +119,20 @@ class TestReader:
         assert len(list(reader)) == 15
         assert reader.health.parse_failures == 1
 
+    def test_tolerant_dedup_spans_segment_boundaries(self, tmp_path):
+        # Report 3 is re-delivered right after the first rotation, so
+        # the copy opens segment 2: one dedup window must cover both.
+        store = SegmentedTraceStore(tmp_path, records_per_segment=3)
+        fill(store, 0, 3)
+        fill(store, 2, 6)
+        store.close()
+        assert len(store.sealed_segments) == 3
+        reader = SegmentedTraceReader(tmp_path, tolerant=True)
+        assert [int(r.time) for r in reader] == list(range(6))
+        assert reader.health.duplicates == 1
+        assert reader.health.records_ok == 6
+        assert reader.health.lines_read == 7
+
 
 class TestRecovery:
     def test_recover_clean_close_and_keep_appending(self, tmp_path):

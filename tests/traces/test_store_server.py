@@ -4,11 +4,11 @@ import pytest
 
 from repro.traces import (
     InMemoryTraceStore,
-    JsonlTraceStore,
     PartnerRecord,
     PeerReport,
+    SegmentedTraceReader,
+    SegmentedTraceStore,
     TraceHealth,
-    TraceReader,
     TraceServer,
     TraceStoreClosedError,
     iter_windows,
@@ -40,30 +40,30 @@ class TestInMemoryStore:
 
 
 class TestJsonlStore:
+    """The JSONL segment store round trip on one-segment directories."""
+
     def test_roundtrip_plain(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with JsonlTraceStore(path) as store:
+        path = tmp_path / "trace"
+        with SegmentedTraceStore(path) as store:
             for t in range(5):
                 store.append(report_at(float(t), ip=t))
             assert len(store) == 5
-        reports = list(TraceReader(path))
+        assert len(list(path.glob("seg-*.jsonl"))) == 1
+        reports = list(SegmentedTraceReader(path))
         assert [r.peer_ip for r in reports] == [0, 1, 2, 3, 4]
         assert reports[0].partners[0].recv_segments == 12
 
     def test_roundtrip_gzip(self, tmp_path):
-        path = tmp_path / "trace.jsonl.gz"
-        with JsonlTraceStore(path) as store:
+        path = tmp_path / "trace"
+        with SegmentedTraceStore(path, compress=True) as store:
             store.append(report_at(7.5))
-        got = list(TraceReader(path))
+        assert len(list(path.glob("seg-*.jsonl.gz"))) == 1
+        got = list(SegmentedTraceReader(path))
         assert len(got) == 1
         assert got[0].time == 7.5
 
-    def test_compress_inferred_from_suffix(self, tmp_path):
-        assert JsonlTraceStore(tmp_path / "a.jsonl.gz").compress
-        assert not JsonlTraceStore(tmp_path / "a.jsonl").compress
-
     def test_close_idempotent(self, tmp_path):
-        store = JsonlTraceStore(tmp_path / "t.jsonl")
+        store = SegmentedTraceStore(tmp_path / "t")
         store.close()
         store.close()
 
@@ -71,28 +71,28 @@ class TestJsonlStore:
         # Teardown paths routinely flush a store something else already
         # closed (a ``with`` block, a campaign's cleanup); close flushed
         # everything, so this must not raise on the closed handle.
-        path = tmp_path / "t.jsonl"
-        store = JsonlTraceStore(path)
+        path = tmp_path / "t"
+        store = SegmentedTraceStore(path)
         store.append(report_at(1.0))
         store.close()
         store.flush()
-        assert len(list(TraceReader(path))) == 1
+        assert len(list(SegmentedTraceReader(path))) == 1
 
     def test_append_after_close_raises_named_error(self, tmp_path):
-        store = JsonlTraceStore(tmp_path / "t.jsonl")
+        store = SegmentedTraceStore(tmp_path / "t")
         store.close()
         with pytest.raises(TraceStoreClosedError) as err:
             store.append(report_at(1.0))
-        assert "t.jsonl" in str(err.value)
+        assert str(tmp_path / "t") in str(err.value)
         assert "append" in str(err.value)
 
     def test_fsync_on_flush_writes_through(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        store = JsonlTraceStore(path, flush_every=1, fsync_on_flush=True)
+        path = tmp_path / "t"
+        store = SegmentedTraceStore(path, flush_every=1, fsync_on_flush=True)
         store.append(report_at(1.0))
         # Durable at the flush boundary: visible to a second reader
         # before close().
-        assert len(list(TraceReader(path))) == 1
+        assert len(list(SegmentedTraceReader(path))) == 1
         store.close()
 
 
