@@ -32,10 +32,6 @@ BENCH_SEED = 2006
 #: partner-selection policy spec driving the flagship trace
 #: (NAME[:key=val,...] from the overlay registry)
 BENCH_POLICY = os.environ.get("REPRO_BENCH_POLICY", "uusee")
-#: windowed-structure analytics mode (incremental | full) for the
-#: benchmarks that honour it; recorded in BENCH_report.json so runs on
-#: different modes are never compared as like-for-like
-BENCH_ANALYTICS = os.environ.get("REPRO_BENCH_ANALYTICS", "incremental")
 
 DAY = 86_400.0
 HOUR = 3_600.0
@@ -215,7 +211,6 @@ def pytest_sessionfinish(session, exitstatus) -> None:
             "peers": BENCH_BASE,
             "seed": BENCH_SEED,
             "policy": _policy_info(BENCH_POLICY),
-            "analytics": BENCH_ANALYTICS,
             "git_sha": _git_sha(),
         },
         "exitstatus": int(exitstatus),

@@ -1,17 +1,20 @@
-"""Windowed structure analytics: full recompute vs incremental.
+"""Windowed structure analytics: the per-window kernel vs its oracle.
 
-Degree histograms, reciprocity and clustering per window, recomputed
-from each window's snapshot vs maintained incrementally from edge
-deltas, on a 12-hour ~700-peer trace.  Both sides run in one session,
-so every BENCH_report.json carries the ratio.
+Degree histograms, reciprocity and clustering per window on a 12-hour
+~700-peer trace, computed by ``windowed_structure`` (the stateless
+per-window kernel ``analyze --figure windows`` runs) and by the
+snapshot-kernel oracle (``observe`` over ``WINDOW_STRUCTURE_METRICS``:
+a snapshot per window, then the CSR kernels).  Both sides run in one
+session, so every BENCH_report.json carries the ratio.  The row names
+predate the kernel and are kept so the baseline stays comparable.
 
 Ratios are derived from the report, not asserted here: wall-clock on a
 shared box is too noisy for a hard gate, and ``baseline.json`` already
 flags regressions run-over-run.
 """
 
-from benchmarks.conftest import BENCH_ANALYTICS
-from repro.core.experiments import windowed_structure
+from repro.core.experiments import WINDOW_STRUCTURE_METRICS, windowed_structure
+from repro.core.timeseries import observe
 from repro.simulator import SystemConfig, UUSeeSystem
 from repro.traces import InMemoryTraceStore
 
@@ -33,7 +36,7 @@ def test_window_structure_full(benchmark):
     reports = _window_trace()
 
     def analyze():
-        return windowed_structure(reports, mode="full")
+        return observe(reports, WINDOW_STRUCTURE_METRICS)
 
     _check_series(benchmark.pedantic(analyze, rounds=3, iterations=1))
 
@@ -42,20 +45,6 @@ def test_window_structure_incremental(benchmark):
     reports = _window_trace()
 
     def analyze():
-        return windowed_structure(reports, mode="incremental")
-
-    _check_series(benchmark.pedantic(analyze, rounds=3, iterations=1))
-
-
-def test_window_structure_configured_mode(benchmark):
-    """The mode selected by REPRO_BENCH_ANALYTICS (default incremental).
-
-    This is the row dashboards track over time; the explicit pair above
-    exists to measure the ratio regardless of the configured mode.
-    """
-    reports = _window_trace()
-
-    def analyze():
-        return windowed_structure(reports, mode=BENCH_ANALYTICS)
+        return windowed_structure(reports)
 
     _check_series(benchmark.pedantic(analyze, rounds=3, iterations=1))

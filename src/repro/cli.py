@@ -216,15 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--figure",
         choices=FIGURES + ("windows", "all"),
         default="all",
-        help="which figure to regenerate ('windows' is the incremental "
-        "per-window structure series; not part of 'all')",
-    )
-    ana.add_argument(
-        "--analytics",
-        choices=("incremental", "full"),
-        default="incremental",
-        help="backend for --figure windows: delta-maintained state or "
-        "per-window snapshot kernels (identical output)",
+        help="which figure to regenerate ('windows' is the per-window "
+        "structure series; not part of 'all')",
     )
     ana.add_argument("--csv-dir", type=Path, help="also export series as CSV")
     ana.add_argument(
@@ -780,8 +773,8 @@ def _analyze_fig8(trace, csv_dir, obs):
     return {"columns": ["t_hours", "rho_all", "rho_intra", "rho_inter"], "rows": rows}
 
 
-def _analyze_windows(trace, csv_dir, obs, analytics="incremental"):
-    series = ex.windowed_structure(trace, mode=analytics, obs=obs)
+def _analyze_windows(trace, csv_dir, obs):
+    series = ex.windowed_structure(trace, obs=obs)
     rows = [
         [
             t / 3600.0,
@@ -800,7 +793,7 @@ def _analyze_windows(trace, csv_dir, obs, analytics="incremental"):
     print(format_table(
         ["t_hours", "peers", "mean partners", "rho", "C"],
         rows,
-        title=f"per-window structure ({analytics})",
+        title="per-window structure",
     ))
     if csv_dir:
         write_csv(
@@ -811,7 +804,8 @@ def _analyze_windows(trace, csv_dir, obs, analytics="incremental"):
     return {
         "columns": ["t_hours", "peers", "mean_partners", "rho", "C"],
         "rows": rows,
-        "analytics": analytics,
+        # Label kept: perfbench pins this payload's digest.
+        "analytics": "incremental",
     }
 
 
@@ -824,6 +818,7 @@ _ANALYZERS = {
     "fig6": _analyze_fig6,
     "fig7": _analyze_fig7,
     "fig8": _analyze_fig8,
+    "windows": _analyze_windows,
 }
 
 
@@ -899,16 +894,11 @@ def _print_campaign_health(trace_path: Path) -> None:
     ))
 
 
-def _run_figures(
-    trace, figures, csv_dir, obs, analytics="incremental"
-) -> dict[str, object]:
+def _run_figures(trace, figures, csv_dir, obs) -> dict[str, object]:
     payloads: dict[str, object] = {}
     for fig in figures:
         try:
-            if fig == "windows":
-                payloads[fig] = _analyze_windows(trace, csv_dir, obs, analytics)
-            else:
-                payloads[fig] = _ANALYZERS[fig](trace, csv_dir, obs)
+            payloads[fig] = _ANALYZERS[fig](trace, csv_dir, obs)
         except ValueError as exc:
             payloads[fig] = {"skipped": str(exc)}
             print(f"{fig}: skipped ({exc})")
@@ -927,9 +917,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         if args.json:
             with contextlib.redirect_stdout(io.StringIO()):
-                payloads = _run_figures(
-                    trace, figures, args.csv_dir, obs, args.analytics
-                )
+                payloads = _run_figures(trace, figures, args.csv_dir, obs)
             doc: dict[str, object] = {"trace": str(args.trace), "figures": payloads}
             if args.tolerant:
                 doc["trace_health"] = dataclasses.asdict(trace.health)
@@ -938,7 +926,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 doc["campaign_health"] = campaign_health
             print(json.dumps(doc, indent=2, sort_keys=True))
         else:
-            _run_figures(trace, figures, args.csv_dir, obs, args.analytics)
+            _run_figures(trace, figures, args.csv_dir, obs)
             if args.tolerant:
                 print(format_trace_health(trace.health, title=f"trace health {args.trace}"))
             _print_campaign_health(args.trace)

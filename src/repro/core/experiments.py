@@ -10,7 +10,6 @@ benchmarks and examples share it.
 from __future__ import annotations
 
 import dataclasses
-import json
 from functools import partial
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,11 +32,12 @@ from repro.core.metrics import (
     reciprocity_metrics,
     small_world,
     streaming_quality,
+    window_structure,
 )
 from repro.core.snapshots import TopologySnapshot, build_snapshot
 from repro.core.timeseries import MetricFn, SnapshotSeries, observe
 from repro.graph.degree import DegreeDistribution
-from repro.ioutil import atomic_write_bytes
+from repro.ioutil import atomic_write_json, read_json_object
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
 from repro.overlay import (
     PolicyError,
@@ -350,28 +350,10 @@ def write_campaign_health_payload(
     """
     trace_dir = Path(trace_dir)
     primary = trace_dir / CAMPAIGN_HEALTH_NAME
-    previous = _read_health_file(primary)
+    previous = read_json_object(primary)
     if previous is not None:
-        atomic_write_bytes(
-            trace_dir / CAMPAIGN_HEALTH_PREV_NAME,
-            (json.dumps(previous, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-        )
-    atomic_write_bytes(
-        primary,
-        (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-    )
-
-
-def _read_health_file(path: Path) -> dict[str, object] | None:
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError:
-        return None
-    try:
-        payload = json.loads(raw)
-    except ValueError:
-        return None
-    return payload if isinstance(payload, dict) else None
+        atomic_write_json(trace_dir / CAMPAIGN_HEALTH_PREV_NAME, previous)
+    atomic_write_json(primary, payload)
 
 
 def load_campaign_health(trace_dir: str | Path) -> dict[str, object] | None:
@@ -383,10 +365,10 @@ def load_campaign_health(trace_dir: str | Path) -> dict[str, object] | None:
     newest summary that ever survived intact.
     """
     trace_dir = Path(trace_dir)
-    payload = _read_health_file(trace_dir / CAMPAIGN_HEALTH_NAME)
+    payload = read_json_object(trace_dir / CAMPAIGN_HEALTH_NAME)
     if payload is not None:
         return payload
-    return _read_health_file(trace_dir / CAMPAIGN_HEALTH_PREV_NAME)
+    return read_json_object(trace_dir / CAMPAIGN_HEALTH_PREV_NAME)
 
 
 # ------------------------------------------------------------------ Fig. 1
@@ -836,8 +818,8 @@ def _window_clustering(snapshot: TopologySnapshot) -> float:
     return average_clustering(snapshot.stable_undirected_compact())
 
 
-#: The per-window structural metrics the incremental backend maintains,
-#: as snapshot-kernel functions for the full (recompute) backend.
+#: The per-window structure metrics as snapshot-kernel functions: the
+#: reference that :func:`window_structure` rows are tested ``==`` to.
 WINDOW_STRUCTURE_METRICS: dict[str, MetricFn] = {
     "degrees": _window_degrees,
     "reciprocity": _window_reciprocity,
@@ -846,45 +828,22 @@ WINDOW_STRUCTURE_METRICS: dict[str, MetricFn] = {
 
 
 def windowed_structure(
-    trace: Iterable[PeerReport],
-    *,
-    mode: str = "incremental",
-    window_seconds: float = 600.0,
-    observe_every: float | None = None,
-    active_threshold: int = 10,
-    resync_every: int = 64,
-    obs: AnyObserver = NULL_OBSERVER,
+    trace: Iterable[PeerReport], *, obs: AnyObserver = NULL_OBSERVER
 ) -> SnapshotSeries:
     """Per-window degree/reciprocity/clustering series over a trace.
 
-    ``mode="incremental"`` streams the trace through
-    :class:`repro.soa.incremental.IncrementalWindowMetrics`, updating
-    delta-maintained state per window; ``mode="full"`` recomputes each
-    window's snapshot and runs the CSR kernels.  Both produce the same
-    series bit for bit — the incremental backend exists purely for
-    throughput.  ``resync_every`` only applies to ``mode="incremental"``.
+    One :func:`~repro.core.metrics.window_structure` row per non-empty
+    10-minute window, each computed from that window's reports alone.
     """
-    if mode == "incremental":
-        from repro.soa.incremental import observe_incremental
-
-        return observe_incremental(
-            trace,
-            window_seconds=window_seconds,
-            observe_every=observe_every,
-            active_threshold=active_threshold,
-            resync_every=resync_every,
-            obs=obs,
-        )
-    if mode == "full":
-        return observe(
-            trace,
-            WINDOW_STRUCTURE_METRICS,
-            window_seconds=window_seconds,
-            observe_every=observe_every,
-            active_threshold=active_threshold,
-            obs=obs,
-        )
-    raise ValueError(f"unknown analytics mode {mode!r} (incremental|full)")
+    series = SnapshotSeries()
+    for window_start, window_reports in iter_windows(trace, 600.0):
+        # Span and counter names kept: perfbench's layer map reads them.
+        with obs.span("analytics.incremental_window"):
+            row = window_structure(window_reports)
+        if obs.enabled:
+            obs.count("analytics.incremental_windows")
+        series.append(window_start, row)
+    return series
 
 
 # -------------------------------------------------- overlay comparison

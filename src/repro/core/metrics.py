@@ -15,7 +15,11 @@ from repro.graph.compact import CompactGraph
 from repro.graph.degree import DegreeDistribution
 from repro.graph.digraph import Graph
 from repro.graph.smallworld import SmallWorldMetrics, small_world_metrics
-from repro.core.snapshots import TopologySnapshot
+from repro.core.snapshots import (
+    DEFAULT_ACTIVE_THRESHOLD,
+    TopologySnapshot,
+    latest_reports,
+)
 from repro.network.isp import IspDatabase
 from repro.traces.records import PeerReport
 
@@ -329,3 +333,97 @@ def reciprocity_metrics(
         inter_isp=_rho(sum(inter_mark), inter_m, inter_bilateral),
         num_edges=full.num_edges,
     )
+
+
+# ------------------------------------------------------ per-window structure
+
+
+def window_structure(
+    reports: Iterable[PeerReport],
+    *,
+    active_threshold: int = DEFAULT_ACTIVE_THRESHOLD,
+) -> dict[str, object]:
+    """Degree distributions, reciprocity and clustering of one window.
+
+    Computed straight from the window's edge sets, with no snapshot
+    graph and no state carried between windows.  The row is ``==`` to
+    :func:`degree_distributions`, ``edge_reciprocity`` over
+    ``active_compact()`` and ``average_clustering`` over
+    ``stable_undirected_compact()`` of the window's snapshot: the
+    counts are integers, and the two floats are evaluated with the
+    kernels' expressions in the kernels' order.
+    """
+    thr = active_threshold
+    latest = latest_reports(reports)
+    edges: set[tuple[int, int]] = set()  # directed active edges
+    proj: set[tuple[int, int]] = set()  # stable undirected (min, max) pairs
+    transient: set[int] = set()  # non-reporting endpoints of active edges
+    partners: list[int] = []
+    indeg: list[int] = []
+    outdeg: list[int] = []
+    eadd = edges.add
+    padd = proj.add
+    for ip, report in latest.items():
+        n_in = 0
+        n_out = 0
+        for partner in report.partners:
+            recv_active = partner.recv_segments >= thr
+            sent_active = partner.sent_segments >= thr
+            if recv_active:
+                n_in += 1
+            if sent_active:
+                n_out += 1
+            pip = partner.ip
+            if pip == ip or not (recv_active or sent_active):
+                continue
+            if recv_active:
+                eadd((pip, ip))
+            if sent_active:
+                eadd((ip, pip))
+            if pip in latest:
+                padd((pip, ip) if pip < ip else (ip, pip))
+            else:
+                transient.add(pip)
+        partners.append(len(report.partners))
+        indeg.append(n_in)
+        outdeg.append(n_out)
+
+    # Insert the projection edges one at a time: a triangle is counted
+    # once, when its last edge closes it, on each of its three corners.
+    adj: dict[int, set[int]] = {}
+    triangles: dict[int, int] = {}
+    for u, v in proj:
+        row_u = adj.setdefault(u, set())
+        row_v = adj.setdefault(v, set())
+        common = row_u & row_v
+        if common:
+            for w in common:
+                triangles[w] = triangles.get(w, 0) + 1
+            k = len(common)
+            triangles[u] = triangles.get(u, 0) + k
+            triangles[v] = triangles.get(v, 0) + k
+        row_u.add(v)
+        row_v.add(u)
+
+    # average_clustering sums over the frozen stable graph's vertex
+    # order, which is the iteration order of the set DiGraph.subgraph
+    # builds from snapshot.stable_ips; both sets are rebuilt here.
+    stable_ips = set(latest)
+    total = 0.0
+    for node in {n for n in stable_ips}:  # noqa: C416 - replays subgraph's layout
+        row = adj.get(node)
+        k = len(row) if row is not None else 0
+        if k >= 2:
+            total += 2 * triangles.get(node, 0) / (k * (k - 1))
+    clustering = total / len(stable_ips) if stable_ips else 0.0
+
+    bilateral = len(edges & {(v, u) for u, v in edges})
+    return {
+        "degrees": {
+            "partners": DegreeDistribution.from_degrees(partners),
+            "in": DegreeDistribution.from_degrees(indeg),
+            "out": DegreeDistribution.from_degrees(outdeg),
+        },
+        "reciprocity": _rho(len(latest) + len(transient), len(edges), bilateral),
+        "clustering": clustering,
+    }

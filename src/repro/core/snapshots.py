@@ -91,6 +91,21 @@ class TopologySnapshot:
         return self._stable_undirected_compact
 
 
+def latest_reports(reports: Iterable[PeerReport]) -> dict[int, PeerReport]:
+    """Latest report per reporting IP (a later or equal time wins).
+
+    The per-interval counters make the latest report the most recent
+    view of a peer's exchange activity; every window analysis keys on
+    this dict, and its insertion order fixes downstream vertex orders.
+    """
+    latest: dict[int, PeerReport] = {}
+    for report in reports:
+        previous = latest.get(report.peer_ip)
+        if previous is None or report.time >= previous.time:
+            latest[report.peer_ip] = report
+    return latest
+
+
 def build_snapshot(
     reports: Iterable[PeerReport],
     *,
@@ -104,11 +119,7 @@ def build_snapshot(
     wins (the counters are per-interval, so the latest reflects the most
     recent exchange activity).
     """
-    latest: dict[int, PeerReport] = {}
-    for report in reports:
-        previous = latest.get(report.peer_ip)
-        if previous is None or report.time >= previous.time:
-            latest[report.peer_ip] = report
+    latest = latest_reports(reports)
 
     # Adjacency is assembled directly on the graphs' dict-of-set storage:
     # this loop dominates per-window analytics cost and per-edge add_edge

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 from collections.abc import Iterator
 
 from repro.fleet.plan import ShardSpec, shard_dir
-from repro.ioutil import atomic_write_bytes
+from repro.ioutil import atomic_write_json, read_json_object
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
 from repro.traces.records import PeerReport
 from repro.traces.segments import (
@@ -83,18 +82,6 @@ def _shard_fingerprints(shard_dirs: dict[int, Path]) -> dict[str, str]:
     return out
 
 
-def _load_merge_manifest(campaign_dir: Path) -> dict[str, Any] | None:
-    try:
-        raw = (campaign_dir / MERGE_MANIFEST_NAME).read_text(encoding="utf-8")
-    except OSError:
-        return None
-    try:
-        payload = json.loads(raw)
-    except ValueError:
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
 def _clear_merged_output(campaign_dir: Path) -> None:
     """Drop a stale or half-written merged trace from the campaign root."""
     for path in campaign_dir.iterdir():
@@ -135,7 +122,7 @@ def merge_shards(
 
     with obs.span("fleet.merge.fingerprint"):
         inputs = _shard_fingerprints(dirs)
-    existing = _load_merge_manifest(campaign_dir)
+    existing = read_json_object(campaign_dir / MERGE_MANIFEST_NAME)
     if existing is not None and existing.get("inputs") == inputs:
         # The manifest is written last, so its presence with matching
         # inputs proves the merged segments below it are complete.
@@ -170,10 +157,7 @@ def merge_shards(
         "content_sha256": content_sha,
         "shards": {str(sid): n for sid, n in sorted(counts.items())},
     }
-    atomic_write_bytes(
-        campaign_dir / MERGE_MANIFEST_NAME,
-        (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-    )
+    atomic_write_json(campaign_dir / MERGE_MANIFEST_NAME, payload)
     if obs.enabled:
         obs.count("fleet.merge.records", sum(counts.values()))
     return MergeResult(

@@ -47,7 +47,7 @@ from typing import IO, Any
 from repro.core.experiments import run_campaign
 from repro.fleet.heartbeat import emit_event
 from repro.fleet.plan import ChaosSpec, ShardSpec
-from repro.ioutil import atomic_write_bytes
+from repro.ioutil import atomic_write_json, read_json_object
 
 #: Exit code for a graceful (checkpointed, resumable) signal stop.
 EXIT_INTERRUPTED = 3
@@ -207,26 +207,14 @@ def run_shard(
     if result.interrupted:
         emit_event(out, {"type": "interrupted", **summary})
         return EXIT_INTERRUPTED
-    atomic_write_bytes(
-        trace_dir / DONE_NAME,
-        (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-    )
+    atomic_write_json(trace_dir / DONE_NAME, summary)
     emit_event(out, {"type": "done", **summary})
     return 0
 
 
 def load_done(trace_dir: str | Path) -> dict[str, Any] | None:
     """Read a shard's completion marker, or ``None`` when unfinished."""
-    path = Path(trace_dir) / DONE_NAME
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError:
-        return None
-    try:
-        payload = json.loads(raw)
-    except ValueError:
-        return None
-    return payload if isinstance(payload, dict) else None
+    return read_json_object(Path(trace_dir) / DONE_NAME)
 
 
 def main(argv: list[str] | None = None) -> int:

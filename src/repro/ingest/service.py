@@ -60,7 +60,7 @@ from repro.ingest.framing import (
     decode_payload,
     parse_header,
 )
-from repro.ioutil import atomic_write_bytes
+from repro.ioutil import atomic_write_bytes, atomic_write_json, read_json_object
 from repro.obs.clock import LoopClock
 from repro.obs.exporters import render_prometheus
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
@@ -217,8 +217,8 @@ class TraceIngestService:
         cursors: dict[int, ShardCursor] = {}
         if manifest.exists():
             store = SegmentedTraceStore.recover(directory, obs=obs)
-            journal = cls._load_journal(directory)
-            if journal is not None:
+            journal = read_json_object(directory / ADMISSIONS_NAME)
+            if journal is not None and "records" in journal:
                 store.rollback(int(journal["records"]))
                 cursors = {
                     int(shard): ShardCursor.restore(state)
@@ -232,17 +232,6 @@ class TraceIngestService:
                 obs=obs,
             )
         return cls(store, cursors, obs=obs, **kwargs)
-
-    @staticmethod
-    def _load_journal(directory: Path) -> dict[str, Any] | None:
-        try:
-            raw = (directory / ADMISSIONS_NAME).read_text(encoding="utf-8")
-            payload = json.loads(raw)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict) or "records" not in payload:
-            return None
-        return payload
 
     def _write_journal(self) -> None:
         """Atomically publish the durable admission cut (post-fsync)."""
@@ -368,10 +357,7 @@ class TraceIngestService:
             "health": dataclasses.asdict(health),
             "stats": dataclasses.asdict(self.stats),
         }
-        atomic_write_bytes(
-            self.directory / "health.json",
-            (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-        )
+        atomic_write_json(self.directory / "health.json", payload)
         if self._obs.enabled:
             atomic_write_bytes(
                 self.directory / "metrics.prom",

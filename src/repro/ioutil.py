@@ -9,8 +9,10 @@ so the rename itself survives a crash.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
+from typing import Any
 
 
 def fsync_directory(directory: Path) -> None:
@@ -49,3 +51,22 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
     os.replace(tmp, path)
     fsync_directory(path.parent)
     return path
+
+
+def atomic_write_json(path: str | Path, payload: object) -> Path:
+    """Atomically write ``payload`` as indented, key-sorted JSON + newline."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_json_object(path: str | Path) -> dict[str, Any] | None:
+    """The JSON object stored at ``path``, or None.
+
+    None covers every way a metadata file can be unusable: missing or
+    unreadable, torn by a crash mid-write, or holding a non-object.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None

@@ -89,11 +89,9 @@ WALL_CLOCK_CALLS = frozenset(
 #: detection and restart cadence are testable with a ManualClock.  The
 #: overlay package joins because partner policies run inside the
 #: simulated exchange rounds: any wall-clock read there would leak real
-#: time into partner selection and break campaign reproducibility.  The
-#: soa package holds the incremental window analytics, which run inside
-#: ``analyze`` alongside the core kernels and inherit their rules.
+#: time into partner selection and break campaign reproducibility.
 SIMULATED_TIME_SEGMENTS = frozenset(
-    {"simulator", "traces", "core", "obs", "ingest", "fleet", "overlay", "soa"}
+    {"simulator", "traces", "core", "obs", "ingest", "fleet", "overlay"}
 )
 
 #: RNG methods whose result order depends on the order of their input.

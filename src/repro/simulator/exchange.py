@@ -104,14 +104,12 @@ class ExchangeEngine:
         self.tracker = tracker
         self.latency = latency
         self.config = config
-        self.policy = policy
         self.obs = obs
         if faults is None:
             faults = FaultPlan(outages=outages or OutageSchedule())
         elif outages is not None:
             faults = faults.merged_with_outages(outages)
         self.faults = faults
-        self.outages = self.faults.outages
         self.rng = random.Random(seed)
         # Selection decisions are delegated to a PartnerPolicy
         # (repro.overlay).  The default is built from the legacy enum so
@@ -306,20 +304,6 @@ class ExchangeEngine:
         return True
 
     # -- supplier selection ---------------------------------------------------
-
-    def _expected_link_rate(self, link: Link, cap_kbps: float) -> float:
-        return min(link.est_kbps, cap_kbps)
-
-    @staticmethod
-    def _rtt_penalty(rtt_ms: float) -> float:
-        """Quadratic RTT penalty: UUSee measures round-trip delay per
-        connection and strongly prefers nearby (in practice intra-ISP)
-        partners; block requests over high-RTT paths also pipeline badly.
-
-        Hot paths read the precomputed ``Link.penalty`` (same formula,
-        fixed at link establishment) instead of calling this.
-        """
-        return 1.0 + (rtt_ms / 60.0) ** 2
 
     def _candidate_score(self, peer: Peer, pid: int, link: Link) -> float:
         score: float = self.partner_policy.candidate_score(peer, pid, link)

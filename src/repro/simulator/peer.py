@@ -43,10 +43,12 @@ class Link:
         # Initial throughput estimate: optimistic half the ceiling, so new
         # links get tried; measurement then corrects it.
         self.est_kbps = cap_kbps * 0.5
-        # Quadratic RTT selection penalty, fixed for the link's lifetime
-        # (RTT never changes after establishment) — precomputed so the
-        # per-round scoring loops pay one attribute read, not an
-        # exponentiation.
+        # Quadratic RTT selection penalty: UUSee measures round-trip
+        # delay per connection and strongly prefers nearby (in practice
+        # intra-ISP) partners; block requests over high-RTT paths also
+        # pipeline badly.  Fixed for the link's lifetime (RTT never
+        # changes after establishment) — precomputed so the per-round
+        # scoring loops pay one attribute read, not an exponentiation.
         self.penalty = 1.0 + (rtt_ms / 60.0) ** 2
         self.sent_segments = 0.0  # cumulative, this endpoint -> partner
         self.recv_segments = 0.0  # cumulative, partner -> this endpoint

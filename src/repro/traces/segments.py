@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, TextIO, cast
 
-from repro.ioutil import atomic_write_bytes
+from repro.ioutil import atomic_write_bytes, read_json_object
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
 from repro.traces.health import TraceHealth
 from repro.traces.records import PeerReport
@@ -397,7 +397,7 @@ class SegmentedTraceStore:
         store._fh = None
         store._raw = None
 
-        manifest = cls._load_manifest(manifest_path)
+        manifest = read_json_object(manifest_path)
         disk = dict(_scan_segments(directory))
         if manifest is None and not disk:
             raise SegmentRecoveryError(
@@ -500,20 +500,6 @@ class SegmentedTraceStore:
             obs.count("trace.recovery.quarantined_records", health.quarantined)
             obs.count("trace.recovery.truncated_lines", health.truncated_lines)
         return store
-
-    @staticmethod
-    def _load_manifest(path: Path) -> dict[str, object] | None:
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        try:
-            manifest = json.loads(raw)
-        except ValueError:
-            return None
-        if not isinstance(manifest, dict):
-            return None
-        return manifest
 
     @staticmethod
     def _quarantine(path: Path) -> None:

@@ -101,7 +101,7 @@ class TestPackageMetadata:
     def test_imports_without_numpy(self):
         """The CLI and the analytics it loads need only the standard library."""
         code = (
-            "import sys, repro.cli, repro.soa.incremental; "
+            "import sys, repro.cli, repro.core.metrics; "
             "sys.exit('numpy' in sys.modules)"
         )
         src = str(Path(repro.__file__).resolve().parents[1])

@@ -244,6 +244,61 @@ class TestAnalyze:
         assert "Fig. 8" in out
 
 
+class TestAnalyzeWindows:
+    COLUMNS = ["t_hours", "peers", "mean_partners", "rho", "C"]
+
+    def test_json_rows_equal_snapshot_oracle(self, cli_trace, capsys):
+        import json
+
+        from repro.core.experiments import WINDOW_STRUCTURE_METRICS
+        from repro.core.timeseries import observe
+        from repro.traces import SegmentedTraceReader
+        from repro.traces.store import iter_windows
+
+        argv = ["analyze", "--trace", str(cli_trace), "--figure", "windows", "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)["figures"]["windows"]
+        assert payload["columns"] == self.COLUMNS
+        assert payload["analytics"] == "incremental"
+
+        reports = list(SegmentedTraceReader(cli_trace))
+        windows = list(iter_windows(reports, 600.0))
+        assert len(payload["rows"]) == len(windows) > 0
+
+        oracle = observe(reports, WINDOW_STRUCTURE_METRICS)
+        expected = [
+            [t / 3600.0, deg["partners"].num_peers, deg["partners"].mean(), rho, clu]
+            for t, deg, rho, clu in zip(
+                oracle.times,
+                oracle.values["degrees"],
+                oracle.values["reciprocity"],
+                oracle.values["clustering"],
+            )
+        ]
+        assert payload["rows"] == expected
+
+    def test_csv_dir_writes_windows_csv(self, cli_trace, tmp_path, capsys):
+        csv_dir = tmp_path / "csv"
+        argv = [
+            "analyze", "--trace", str(cli_trace), "--figure", "windows",
+            "--csv-dir", str(csv_dir),
+        ]
+        assert main(argv) == 0
+        assert "per-window structure" in capsys.readouterr().out
+        lines = (csv_dir / "windows.csv").read_text().splitlines()
+        assert lines[0] == ",".join(self.COLUMNS)
+        assert len(lines) > 1
+
+    def test_analytics_option_is_gone(self, cli_trace, capsys):
+        argv = [
+            "analyze", "--trace", str(cli_trace), "--figure", "windows",
+            "--analytics", "full",
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 class TestObservability:
     @pytest.fixture(scope="class")
     def obs_campaign(self, tmp_path_factory):
