@@ -9,6 +9,9 @@ policy and with ISP/quality-blind RANDOM selection: the intra-ISP
 degree fractions collapse to the random baseline, and per-ISP subgraph
 clustering weakens.
 
+Each policy's trace is read once: Figs. 6 and 7 (global and China
+Netcom) share one pass (``run_figures``).
+
 Run:  python examples/isp_clustering_study.py   (about two minutes)
 """
 
@@ -16,9 +19,10 @@ import tempfile
 from pathlib import Path
 
 from repro.core.experiments import (
-    fig6_intra_isp_degrees,
-    fig7_small_world,
+    fig6_plan,
+    fig7_plan,
     run_campaign,
+    run_figures,
 )
 from repro.core.report import format_table
 from repro.simulator.protocol import SelectionPolicy
@@ -43,11 +47,18 @@ def main() -> None:
     rows = []
     for policy in (SelectionPolicy.UUSEE, SelectionPolicy.RANDOM):
         print(f"Simulating with {policy.value} selection ...")
-        trace = run_policy(policy, tmp)
-        fig6 = fig6_intra_isp_degrees(trace)
+        figures = run_figures(
+            run_policy(policy, tmp),
+            {
+                "fig6": fig6_plan(),
+                "fig7 global": fig7_plan(),
+                "fig7 Netcom": fig7_plan(isp="China Netcom"),
+            },
+        )
+        fig6 = figures["fig6"]
         frac_in, frac_out = fig6.mean_fractions()
-        fig7_global = fig7_small_world(trace)
-        fig7_netcom = fig7_small_world(trace, isp="China Netcom")
+        fig7_global = figures["fig7 global"]
+        fig7_netcom = figures["fig7 Netcom"]
         netcom_c = [m.clustering for m in fig7_netcom.metrics()]
         rows.append(
             [

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Quickstart: simulate a small UUSee deployment, collect a Magellan
-trace, and compute the paper's headline topology metrics.
+trace, and compute the paper's headline topology metrics — every figure
+from one pass over the trace (``run_figures``).
 
 Run:  python examples/quickstart.py
 Takes about half a minute.
@@ -10,13 +11,14 @@ import tempfile
 from pathlib import Path
 
 from repro.core.experiments import (
-    fig1_scale,
-    fig2_isp_shares,
-    fig3_streaming_quality,
-    fig6_intra_isp_degrees,
-    fig7_small_world,
-    fig8_reciprocity,
+    fig1_plan,
+    fig2_plan,
+    fig3_plan,
+    fig6_plan,
+    fig7_plan,
+    fig8_plan,
     run_campaign,
+    run_figures,
 )
 from repro.core.report import format_table
 from repro.traces import SegmentedTraceReader
@@ -32,13 +34,20 @@ def main() -> None:
         seed=42,
         with_flash_crowd=False,
     )
-    trace = SegmentedTraceReader(trace_dir)
-
-    fig1 = fig1_scale(trace)
-    fig3 = fig3_streaming_quality(trace)
-    fig6 = fig6_intra_isp_degrees(trace)
-    fig7 = fig7_small_world(trace)
-    fig8 = fig8_reciprocity(trace)
+    figures = run_figures(
+        SegmentedTraceReader(trace_dir),
+        {
+            "fig1": fig1_plan(),
+            "fig2": fig2_plan(),
+            "fig3": fig3_plan(),
+            "fig6": fig6_plan(),
+            "fig7": fig7_plan(),
+            "fig8": fig8_plan(),
+        },
+    )
+    fig1, fig3, fig6, fig7, fig8 = (
+        figures[name] for name in ("fig1", "fig3", "fig6", "fig7", "fig8")
+    )
 
     frac_in, frac_out = fig6.mean_fractions()
     rho = fig8.means()
@@ -57,7 +66,7 @@ def main() -> None:
     print()
     print(format_table(["metric", "measured", "paper"], rows, title="Magellan quickstart"))
     print(f"\nISP shares (Fig. 2): ")
-    shares = fig2_isp_shares(trace)
+    shares = figures["fig2"]
     for name in sorted(shares, key=shares.get, reverse=True):
         print(f"  {name:16s} {shares[name]:.3f}")
     print(f"\nTrace directory: {trace_dir}")

@@ -14,8 +14,8 @@ Seven subcommands cover the whole pipeline:
 - ``serve``    — run the trace ingestion service (UDP + TCP on
   loopback, crash-tolerant admission, SIGTERM drains gracefully);
 - ``analyze``  — regenerate any paper figure (or all) from a campaign
-  directory, printing series (or ``--json``) and optionally exporting
-  CSV;
+  directory in one pass over its trace, printing series (or
+  ``--json``) and optionally exporting CSV;
 - ``info``     — summarise a campaign trace (span, peers, reports,
   dynamics), or query a live ingest server's health with ``--server``;
 - ``obs``      — observability utilities (``obs summarize <dir>``);
@@ -634,8 +634,8 @@ def _is_trace_dir(path: Path) -> bool:
     return True
 
 
-def _analyze_fig1(trace, csv_dir, obs):
-    result = ex.fig1_scale(trace, obs=obs)
+def _analyze_fig1(results, csv_dir):
+    result = results["fig1"]
     print(format_series(result.series, ["total", "stable"], title="Fig. 1(A) simultaneous peers"))
     print()
     print(format_table(["day", "total IPs", "stable IPs"], result.daily, title="Fig. 1(B) daily distinct IPs"))
@@ -653,8 +653,8 @@ def _analyze_fig1(trace, csv_dir, obs):
     }
 
 
-def _analyze_fig2(trace, csv_dir, obs):
-    shares = ex.fig2_isp_shares(trace, obs=obs)
+def _analyze_fig2(results, csv_dir):
+    shares = results["fig2"]
     rows = sorted(shares.items(), key=lambda kv: kv[1], reverse=True)
     print(format_table(["ISP", "share"], rows, title="Fig. 2 ISP shares"))
     if csv_dir:
@@ -662,8 +662,8 @@ def _analyze_fig2(trace, csv_dir, obs):
     return {"shares": dict(rows)}
 
 
-def _analyze_fig3(trace, csv_dir, obs):
-    result = ex.fig3_streaming_quality(trace, obs=obs)
+def _analyze_fig3(results, csv_dir):
+    result = results["fig3"]
     print(format_series(result.series, list(result.channels), title="Fig. 3 streaming quality"))
     for name in result.channels:
         print(f"mean {name}: {result.mean_quality(name):.3f} (paper: ~0.75)")
@@ -680,8 +680,8 @@ def _analyze_fig3(trace, csv_dir, obs):
     }
 
 
-def _analyze_fig4(trace, csv_dir, obs):
-    result = ex.fig4_degree_distributions(trace, obs=obs)
+def _analyze_fig4(results, csv_dir):
+    result = results["fig4"]
     payload = {}
     for label, kinds in result.distributions.items():
         rows = [
@@ -705,8 +705,8 @@ def _analyze_fig4(trace, csv_dir, obs):
     return {"distributions": payload}
 
 
-def _analyze_fig5(trace, csv_dir, obs):
-    result = ex.fig5_degree_evolution(trace, obs=obs)
+def _analyze_fig5(results, csv_dir):
+    result = results["fig5"]
     rows = [
         [t / 3600.0, d.mean_partners, d.mean_indegree, d.mean_outdegree]
         for t, d in zip(result.series.times, result.series.values.get("degrees", ()))
@@ -717,8 +717,8 @@ def _analyze_fig5(trace, csv_dir, obs):
     return {"columns": ["t_hours", "partners", "indegree", "outdegree"], "rows": rows}
 
 
-def _analyze_fig6(trace, csv_dir, obs):
-    result = ex.fig6_intra_isp_degrees(trace, obs=obs)
+def _analyze_fig6(results, csv_dir):
+    result = results["fig6"]
     rows = [
         [t / 3600.0, v.indegree_fraction, v.outdegree_fraction]
         for t, v in zip(result.series.times, result.series.values.get("intra", ()))
@@ -734,11 +734,10 @@ def _analyze_fig6(trace, csv_dir, obs):
     }
 
 
-def _analyze_fig7(trace, csv_dir, obs):
+def _analyze_fig7(results, csv_dir):
     payload = {}
-    for isp in (None, "China Netcom"):
-        result = ex.fig7_small_world(trace, isp=isp, obs=obs)
-        tag = isp or "global"
+    for tag in ("global", "China Netcom"):
+        result = results[f"fig7 {tag}"]
         rows = [
             [t / 3600.0, m.clustering, m.random_clustering, m.path_length, m.random_path_length]
             for t, m in zip(result.series.times, result.series.values.get("sw", ()))
@@ -761,8 +760,8 @@ def _analyze_fig7(trace, csv_dir, obs):
     return payload
 
 
-def _analyze_fig8(trace, csv_dir, obs):
-    result = ex.fig8_reciprocity(trace, obs=obs)
+def _analyze_fig8(results, csv_dir):
+    result = results["fig8"]
     rows = [
         [t / 3600.0, m.all_links, m.intra_isp, m.inter_isp]
         for t, m in zip(result.series.times, result.series.values.get("rho", ()))
@@ -773,8 +772,8 @@ def _analyze_fig8(trace, csv_dir, obs):
     return {"columns": ["t_hours", "rho_all", "rho_intra", "rho_inter"], "rows": rows}
 
 
-def _analyze_windows(trace, csv_dir, obs):
-    series = ex.windowed_structure(trace, obs=obs)
+def _analyze_windows(results, csv_dir):
+    series = results["windows"]
     rows = [
         [
             t / 3600.0,
@@ -894,11 +893,30 @@ def _print_campaign_health(trace_path: Path) -> None:
     ))
 
 
+def _figure_plans(trace, figures, obs) -> dict[str, ex.FigurePlan]:
+    """The plans behind ``figures``, all served by one pass of the trace.
+
+    ``windows`` reads each window's reports rather than a snapshot, so
+    it is a plan without schedules that makes its own single pass.
+    """
+    plans: dict[str, ex.FigurePlan] = {}
+    for fig in figures:
+        if fig == "windows":
+            plans[fig] = ex.FigurePlan((), lambda: ex.windowed_structure(trace, obs=obs))
+        elif fig == "fig7":
+            plans["fig7 global"] = ex.fig7_plan()
+            plans["fig7 China Netcom"] = ex.fig7_plan(isp="China Netcom")
+        else:
+            plans[fig] = ex.FIGURE_PLANS[fig]()
+    return plans
+
+
 def _run_figures(trace, figures, csv_dir, obs) -> dict[str, object]:
+    results = ex.run_figures(trace, _figure_plans(trace, figures, obs), obs=obs)
     payloads: dict[str, object] = {}
     for fig in figures:
         try:
-            payloads[fig] = _ANALYZERS[fig](trace, csv_dir, obs)
+            payloads[fig] = _ANALYZERS[fig](results, csv_dir)
         except ValueError as exc:
             payloads[fig] = {"skipped": str(exc)}
             print(f"{fig}: skipped ({exc})")

@@ -12,6 +12,9 @@ the paper's Sec. 4:
 - intra-ISP degree fractions (Fig. 6);
 - small-world metrics vs random baselines, global and per ISP (Fig. 7);
 - Garlaschelli-Loffredo edge reciprocity, global and ISP-split (Fig. 8).
+
+``run_figures`` (over ``timeseries.sweep``) computes any set of figures
+from a single pass over the trace.
 """
 
 from repro.core.snapshots import TopologySnapshot, build_snapshot
@@ -28,7 +31,16 @@ from repro.core.metrics import (
     small_world,
     streaming_quality,
 )
-from repro.core.timeseries import SnapshotSeries, observe, round_event_series
+from repro.core.timeseries import (
+    At,
+    EachReport,
+    Every,
+    SnapshotSeries,
+    SweepResult,
+    observe,
+    round_event_series,
+    sweep,
+)
 from repro.core.experiments import (
     CampaignResult,
     Fig1Result,
@@ -38,7 +50,9 @@ from repro.core.experiments import (
     Fig6Result,
     Fig7Result,
     Fig8Result,
+    FigurePlan,
     run_campaign,
+    run_figures,
 )
 from repro.core import experiments
 from repro.core.dynamics import (
@@ -75,6 +89,11 @@ __all__ = [
     "streaming_quality",
     "SnapshotSeries",
     "observe",
+    "sweep",
+    "SweepResult",
+    "Every",
+    "At",
+    "EachReport",
     "round_event_series",
     "experiments",
     "CampaignResult",
@@ -86,6 +105,8 @@ __all__ = [
     "Fig7Result",
     "Fig8Result",
     "run_campaign",
+    "FigurePlan",
+    "run_figures",
     "ResilienceStats",
     "quality_dip",
     "satisfied_series",

@@ -2,7 +2,10 @@
 
 Each ``figN_*`` function turns a trace (any re-iterable of reports, e.g.
 :class:`repro.traces.SegmentedTraceReader`) into exactly the series or
-distributions the corresponding paper figure plots.  ``run_campaign``
+distributions the corresponding paper figure plots.  Each is one
+``figN_plan`` (what the figure samples and how its result is made)
+run by :func:`run_figures`, which serves any number of plans from a
+single pass over the trace (DESIGN.md Sec. 8).  ``run_campaign``
 produces such traces from the simulator at a chosen scale; the CLI,
 benchmarks and examples share it.
 """
@@ -13,18 +16,18 @@ import dataclasses
 from functools import partial
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Callable, Iterable
-from typing import TYPE_CHECKING
+from collections.abc import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Generic, TypeVar, cast
 
 if TYPE_CHECKING:
     from repro.ingest.client import ReportClient
 
 from repro.core.metrics import (
+    DailyDistinctIps,
     DegreeSummary,
     IntraIspDegrees,
     ReciprocityMetrics,
     average_degrees,
-    daily_distinct_ips,
     degree_distributions,
     intra_isp_degree_fractions,
     isp_shares,
@@ -35,7 +38,16 @@ from repro.core.metrics import (
     window_structure,
 )
 from repro.core.snapshots import TopologySnapshot, build_snapshot
-from repro.core.timeseries import MetricFn, SnapshotSeries, observe
+from repro.core.timeseries import (
+    At,
+    EachReport,
+    Every,
+    MetricFn,
+    Schedule,
+    SnapshotSeries,
+    SweepResult,
+    sweep,
+)
 from repro.graph.degree import DegreeDistribution
 from repro.ioutil import atomic_write_json, read_json_object
 from repro.obs.spans import NULL_OBSERVER, AnyObserver
@@ -371,6 +383,67 @@ def load_campaign_health(trace_dir: str | Path) -> dict[str, object] | None:
     return read_json_object(trace_dir / CAMPAIGN_HEALTH_PREV_NAME)
 
 
+# ------------------------------------------------------- one-pass figures
+
+R = TypeVar("R")
+
+
+@dataclass(frozen=True)
+class FigurePlan(Generic[R]):
+    """One figure as a client of a shared :func:`~repro.core.timeseries.sweep`.
+
+    ``schedules`` say what the figure samples; ``finish`` turns their
+    results, passed in that order, into the figure's result.
+    """
+
+    schedules: tuple[Schedule, ...]
+    finish: Callable[..., R]
+
+
+def run_figures(
+    trace: Iterable[PeerReport],
+    plans: Mapping[str, FigurePlan[Any]],
+    *,
+    window_seconds: float = 600.0,
+    obs: AnyObserver = NULL_OBSERVER,
+) -> SweepResult:
+    """Compute every figure of ``plans`` from one pass over ``trace``.
+
+    Keyed by plan name, the result holds each figure's result or the
+    ``ValueError`` that ended it (re-raised on access): the first error
+    among its schedules, else what its ``finish`` raised.  A figure
+    whose schedules completed before a read error keeps its result.
+    """
+    swept = sweep(
+        trace,
+        {
+            f"{name}/{i}": schedule
+            for name, plan in plans.items()
+            for i, schedule in enumerate(plan.schedules)
+        },
+        window_seconds=window_seconds,
+        obs=obs,
+    )
+    out = SweepResult()
+    for name, plan in plans.items():
+        try:
+            inputs = [swept[f"{name}/{i}"] for i in range(len(plan.schedules))]
+            out.results[name] = plan.finish(*inputs)
+        except ValueError as exc:
+            out.errors[name] = exc
+    return out
+
+
+def _run_one(
+    trace: Iterable[PeerReport],
+    plan: FigurePlan[R],
+    window_seconds: float,
+    obs: AnyObserver,
+) -> R:
+    result = run_figures(trace, {"figure": plan}, window_seconds=window_seconds, obs=obs)
+    return cast(R, result["figure"])
+
+
 # ------------------------------------------------------------------ Fig. 1
 
 
@@ -437,6 +510,25 @@ def _snapshot_num_stable(snapshot: TopologySnapshot) -> int:
     return snapshot.num_stable
 
 
+def _finish_fig1(series: SnapshotSeries, daily: list[tuple[int, int, int]]) -> Fig1Result:
+    _require_observations(series, "Fig. 1")
+    return Fig1Result(series=series, daily=daily)
+
+
+def fig1_plan(*, observe_every: float = 3_600.0) -> FigurePlan[Fig1Result]:
+    """Fig. 1: peer counts per sampled window, daily IPs from every report."""
+    return FigurePlan(
+        (
+            Every(
+                {"total": _snapshot_num_total, "stable": _snapshot_num_stable},
+                observe_every,
+            ),
+            EachReport(DailyDistinctIps),
+        ),
+        _finish_fig1,
+    )
+
+
 def fig1_scale(
     trace: Iterable[PeerReport],
     *,
@@ -445,22 +537,33 @@ def fig1_scale(
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig1Result:
     """Fig. 1: simultaneous peer counts and daily distinct IPs."""
-    series = observe(
-        trace,
-        {
-            "total": _snapshot_num_total,
-            "stable": _snapshot_num_stable,
-        },
-        window_seconds=window_seconds,
-        observe_every=observe_every,
-        obs=obs,
-    )
-    _require_observations(series, "Fig. 1")
-    daily = daily_distinct_ips(trace)
-    return Fig1Result(series=series, daily=daily)
+    return _run_one(trace, fig1_plan(observe_every=observe_every), window_seconds, obs)
 
 
 # ------------------------------------------------------------------ Fig. 2
+
+
+def _mean_shares(series: SnapshotSeries) -> dict[str, float]:
+    totals: dict[str, float] = {}
+    count = 0
+    # A trace shorter than observe_every yields no sampled windows at all.
+    for shares in series.values.get("shares", ()):
+        if not shares:
+            continue
+        count += 1
+        for name, value in shares.items():
+            totals[name] = totals.get(name, 0.0) + value
+    return {name: value / count for name, value in totals.items()} if count else {}
+
+
+def fig2_plan(
+    db: IspDatabase | None = None, *, observe_every: float = 6 * SECONDS_PER_HOUR
+) -> FigurePlan[dict[str, float]]:
+    """Fig. 2: ISP shares per sampled window, averaged."""
+    db = db or build_default_database()
+    return FigurePlan(
+        (Every({"shares": partial(isp_shares, db=db)}, observe_every),), _mean_shares
+    )
 
 
 def fig2_isp_shares(
@@ -472,24 +575,7 @@ def fig2_isp_shares(
     obs: AnyObserver = NULL_OBSERVER,
 ) -> dict[str, float]:
     """Fig. 2: peer shares per ISP, averaged over sampled snapshots."""
-    db = db or build_default_database()
-    series = observe(
-        trace,
-        {"shares": partial(isp_shares, db=db)},
-        window_seconds=window_seconds,
-        observe_every=observe_every,
-        obs=obs,
-    )
-    totals: dict[str, float] = {}
-    count = 0
-    # A trace shorter than observe_every yields no sampled windows at all.
-    for shares in series.values.get("shares", ()):
-        if not shares:
-            continue
-        count += 1
-        for name, value in shares.items():
-            totals[name] = totals.get(name, 0.0) + value
-    return {name: value / count for name, value in totals.items()} if count else {}
+    return _run_one(trace, fig2_plan(db, observe_every=observe_every), window_seconds, obs)
 
 
 # ------------------------------------------------------------------ Fig. 3
@@ -520,6 +606,32 @@ class Fig3Result:
         return self.series.column(channel)[best_idx]
 
 
+def _finish_fig3(series: SnapshotSeries, *, channels: dict[str, int]) -> Fig3Result:
+    _require_observations(series, "Fig. 3")
+    return Fig3Result(series=series, channels=channels)
+
+
+def fig3_plan(
+    *,
+    channels: dict[str, int] | None = None,
+    stream_rate_kbps: float = 400.0,
+    observe_every: float = 3_600.0,
+) -> FigurePlan[Fig3Result]:
+    """Fig. 3: per-channel satisfied fraction per sampled window."""
+    channels = channels or {"CCTV1": 0, "CCTV4": 1}
+    metrics: dict[str, MetricFn] = {
+        name: partial(
+            streaming_quality,
+            channel_id=cid,
+            stream_rate_kbps=stream_rate_kbps,
+        )
+        for name, cid in channels.items()
+    }
+    return FigurePlan(
+        (Every(metrics, observe_every),), partial(_finish_fig3, channels=channels)
+    )
+
+
 def fig3_streaming_quality(
     trace: Iterable[PeerReport],
     *,
@@ -530,24 +642,10 @@ def fig3_streaming_quality(
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig3Result:
     """Fig. 3: fraction of peers with receiving rate >= 90% of the rate."""
-    channels = channels or {"CCTV1": 0, "CCTV4": 1}
-    metrics: dict[str, MetricFn] = {
-        name: partial(
-            streaming_quality,
-            channel_id=cid,
-            stream_rate_kbps=stream_rate_kbps,
-        )
-        for name, cid in channels.items()
-    }
-    series = observe(
-        trace,
-        metrics,
-        window_seconds=window_seconds,
-        observe_every=observe_every,
-        obs=obs,
+    plan = fig3_plan(
+        channels=channels, stream_rate_kbps=stream_rate_kbps, observe_every=observe_every
     )
-    _require_observations(series, "Fig. 3")
-    return Fig3Result(series=series, channels=channels)
+    return _run_one(trace, plan, window_seconds, obs)
 
 
 # ------------------------------------------------------------------ Fig. 4
@@ -564,6 +662,29 @@ class Fig4Result:
         return self.distributions[label][kind]
 
 
+def _finish_fig4(
+    rows: dict[str, dict[str, dict[str, DegreeDistribution]]],
+    *,
+    wanted: dict[str, float],
+) -> Fig4Result:
+    missing = set(wanted) - set(rows)
+    if missing:
+        raise ValueError(f"trace too short for snapshots: {sorted(missing)}")
+    return Fig4Result(
+        distributions={label: row["degrees"] for label, row in rows.items()}
+    )
+
+
+def fig4_plan(*, snapshot_times: dict[str, float] | None = None) -> FigurePlan[Fig4Result]:
+    """Fig. 4: degree distributions of the windows holding each instant
+    (default :data:`FIG4_SNAPSHOT_TIMES`); complete once all are found."""
+    times = snapshot_times or FIG4_SNAPSHOT_TIMES
+    return FigurePlan(
+        (At({"degrees": degree_distributions}, times),),
+        partial(_finish_fig4, wanted=times),
+    )
+
+
 def fig4_degree_distributions(
     trace: Iterable[PeerReport],
     *,
@@ -572,26 +693,7 @@ def fig4_degree_distributions(
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig4Result:
     """Fig. 4: partner/in/out degree distributions at selected instants."""
-    times = snapshot_times or FIG4_SNAPSHOT_TIMES
-    wanted = {label: t for label, t in times.items()}
-    out: dict[str, dict[str, DegreeDistribution]] = {}
-    for window_start, window_reports in iter_windows(trace, window_seconds):
-        for label, t in wanted.items():
-            if label in out:
-                continue
-            if window_start <= t < window_start + window_seconds:
-                with obs.span("analytics.snapshot"):
-                    snapshot = build_snapshot(
-                        window_reports, time=window_start, window_seconds=window_seconds
-                    )
-                with obs.span("analytics.metric.degrees"):
-                    out[label] = degree_distributions(snapshot)
-        if len(out) == len(wanted):
-            break
-    missing = set(wanted) - set(out)
-    if missing:
-        raise ValueError(f"trace too short for snapshots: {sorted(missing)}")
-    return Fig4Result(distributions=out)
+    return _run_one(trace, fig4_plan(snapshot_times=snapshot_times), window_seconds, obs)
 
 
 # ------------------------------------------------------------------ Fig. 5
@@ -626,6 +728,11 @@ class Fig5Result:
         return (min(vals), max(vals)) if vals else (0.0, 0.0)
 
 
+def fig5_plan(*, observe_every: float = 3_600.0) -> FigurePlan[Fig5Result]:
+    """Fig. 5: average degrees per sampled window."""
+    return FigurePlan((Every({"degrees": average_degrees}, observe_every),), Fig5Result)
+
+
 def fig5_degree_evolution(
     trace: Iterable[PeerReport],
     *,
@@ -634,14 +741,7 @@ def fig5_degree_evolution(
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig5Result:
     """Fig. 5: evolution of mean partner count and active in/outdegree."""
-    series = observe(
-        trace,
-        {"degrees": average_degrees},
-        window_seconds=window_seconds,
-        observe_every=observe_every,
-        obs=obs,
-    )
-    return Fig5Result(series=series)
+    return _run_one(trace, fig5_plan(observe_every=observe_every), window_seconds, obs)
 
 
 # ------------------------------------------------------------------ Fig. 6
@@ -669,6 +769,17 @@ class Fig6Result:
         )
 
 
+def fig6_plan(
+    db: IspDatabase | None = None, *, observe_every: float = 3_600.0
+) -> FigurePlan[Fig6Result]:
+    """Fig. 6: intra-ISP degree fractions per sampled window."""
+    db = db or build_default_database()
+    return FigurePlan(
+        (Every({"intra": partial(intra_isp_degree_fractions, db=db)}, observe_every),),
+        partial(Fig6Result, random_baseline=random_intra_isp_baseline(db)),
+    )
+
+
 def fig6_intra_isp_degrees(
     trace: Iterable[PeerReport],
     db: IspDatabase | None = None,
@@ -678,15 +789,7 @@ def fig6_intra_isp_degrees(
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig6Result:
     """Fig. 6: average intra-ISP proportion of active degrees over time."""
-    db = db or build_default_database()
-    series = observe(
-        trace,
-        {"intra": partial(intra_isp_degree_fractions, db=db)},
-        window_seconds=window_seconds,
-        observe_every=observe_every,
-        obs=obs,
-    )
-    return Fig6Result(series=series, random_baseline=random_intra_isp_baseline(db))
+    return _run_one(trace, fig6_plan(db, observe_every=observe_every), window_seconds, obs)
 
 
 # ------------------------------------------------------------------ Fig. 7
@@ -723,6 +826,21 @@ class Fig7Result:
         return sum(vals) / len(vals) if vals else 0.0
 
 
+def fig7_plan(
+    *,
+    isp: str | None = None,
+    db: IspDatabase | None = None,
+    observe_every: float = 6 * SECONDS_PER_HOUR,
+    seed: int = 0,
+) -> FigurePlan[Fig7Result]:
+    """Fig. 7: small-world metrics (globally or of one ISP) per sampled window."""
+    db = db or build_default_database()
+    return FigurePlan(
+        (Every({"sw": partial(small_world, isp=isp, db=db, seed=seed)}, observe_every),),
+        partial(Fig7Result, isp=isp),
+    )
+
+
 def fig7_small_world(
     trace: Iterable[PeerReport],
     *,
@@ -737,15 +855,8 @@ def fig7_small_world(
 
     Pass ``isp='China Netcom'`` for the Fig. 7(B) ISP subgraph variant.
     """
-    db = db or build_default_database()
-    series = observe(
-        trace,
-        {"sw": partial(small_world, isp=isp, db=db, seed=seed)},
-        window_seconds=window_seconds,
-        observe_every=observe_every,
-        obs=obs,
-    )
-    return Fig7Result(series=series, isp=isp)
+    plan = fig7_plan(isp=isp, db=db, observe_every=observe_every, seed=seed)
+    return _run_one(trace, plan, window_seconds, obs)
 
 
 # ------------------------------------------------------------------ Fig. 8
@@ -779,6 +890,16 @@ class Fig8Result:
         )
 
 
+def fig8_plan(
+    db: IspDatabase | None = None, *, observe_every: float = 3_600.0
+) -> FigurePlan[Fig8Result]:
+    """Fig. 8: edge reciprocity metrics per sampled window."""
+    db = db or build_default_database()
+    return FigurePlan(
+        (Every({"rho": partial(reciprocity_metrics, db=db)}, observe_every),), Fig8Result
+    )
+
+
 def fig8_reciprocity(
     trace: Iterable[PeerReport],
     db: IspDatabase | None = None,
@@ -788,15 +909,21 @@ def fig8_reciprocity(
     obs: AnyObserver = NULL_OBSERVER,
 ) -> Fig8Result:
     """Fig. 8: Garlaschelli-Loffredo reciprocity, global and ISP-split."""
-    db = db or build_default_database()
-    series = observe(
-        trace,
-        {"rho": partial(reciprocity_metrics, db=db)},
-        window_seconds=window_seconds,
-        observe_every=observe_every,
-        obs=obs,
-    )
-    return Fig8Result(series=series)
+    return _run_one(trace, fig8_plan(db, observe_every=observe_every), window_seconds, obs)
+
+
+#: Each figure's plan factory.  ``repro analyze`` runs them with their
+#: defaults, and Fig. 7 a second time with ``isp="China Netcom"``.
+FIGURE_PLANS: dict[str, Callable[..., FigurePlan[Any]]] = {
+    "fig1": fig1_plan,
+    "fig2": fig2_plan,
+    "fig3": fig3_plan,
+    "fig4": fig4_plan,
+    "fig5": fig5_plan,
+    "fig6": fig6_plan,
+    "fig7": fig7_plan,
+    "fig8": fig8_plan,
+}
 
 
 # ------------------------------------------- windowed structure series

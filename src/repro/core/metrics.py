@@ -31,6 +31,32 @@ def peer_counts(snapshot: TopologySnapshot) -> tuple[int, int]:
     return snapshot.num_total, snapshot.num_stable
 
 
+class DailyDistinctIps:
+    """Streaming :func:`daily_distinct_ips`: :meth:`add` every report of a
+    pass in order, then read :meth:`result`."""
+
+    def __init__(self, *, seconds_per_day: float = 86_400.0) -> None:
+        self.seconds_per_day = seconds_per_day
+        self._total_by_day: defaultdict[int, set[int]] = defaultdict(set)
+        self._stable_by_day: defaultdict[int, set[int]] = defaultdict(set)
+
+    def add(self, report: PeerReport) -> None:
+        """Count one report's IP and its partners' IPs on its day."""
+        day = int(report.time // self.seconds_per_day)
+        self._stable_by_day[day].add(report.peer_ip)
+        total = self._total_by_day[day]
+        total.add(report.peer_ip)
+        for partner in report.partners:
+            total.add(partner.ip)
+
+    def result(self) -> list[tuple[int, int, int]]:
+        """Per-day (day index, distinct total IPs, distinct stable IPs)."""
+        return [
+            (day, len(self._total_by_day[day]), len(self._stable_by_day[day]))
+            for day in sorted(self._total_by_day)
+        ]
+
+
 def daily_distinct_ips(
     reports: Iterable[PeerReport], *, seconds_per_day: float = 86_400.0
 ) -> list[tuple[int, int, int]]:
@@ -39,18 +65,10 @@ def daily_distinct_ips(
     'Stable' IPs reported at least once that day; 'total' additionally
     counts every IP appearing in any partner list — Fig. 1(B).
     """
-    total_by_day: dict[int, set[int]] = defaultdict(set)
-    stable_by_day: dict[int, set[int]] = defaultdict(set)
+    days = DailyDistinctIps(seconds_per_day=seconds_per_day)
     for report in reports:
-        day = int(report.time // seconds_per_day)
-        stable_by_day[day].add(report.peer_ip)
-        total_by_day[day].add(report.peer_ip)
-        for partner in report.partners:
-            total_by_day[day].add(partner.ip)
-    return [
-        (day, len(total_by_day[day]), len(stable_by_day[day]))
-        for day in sorted(total_by_day)
-    ]
+        days.add(report)
+    return days.result()
 
 
 # ----------------------------------------------------------------- Fig. 2

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core import observe
 from repro.core.report import format_series, format_table, write_csv
-from repro.core.timeseries import SnapshotSeries
+from repro.core import timeseries
+from repro.core.metrics import DailyDistinctIps, daily_distinct_ips
+from repro.core.timeseries import At, EachReport, Every, SnapshotSeries, sweep
 from tests.core.helpers import partner, report
 
 
@@ -59,6 +61,96 @@ class TestObserve:
         )
         assert strict.column("e") == [0]
         assert loose.column("e") == [1]
+
+
+def stable(snapshot):
+    return snapshot.num_stable
+
+
+class TestSweep:
+    REPORTS = [report(ip, t=float(t)) for t in range(0, 4 * 3600, 300) for ip in (1, 2)]
+
+    def test_schedules_match_separate_observes(self):
+        out = sweep(self.REPORTS, {
+            "all": Every({"n": stable}),
+            "hourly": Every({"n": stable}, 3600.0),
+        })
+        assert out["all"].times == observe(self.REPORTS, {"n": stable}).times
+        assert out["hourly"].times == [0.0, 3600.0, 7200.0, 10800.0]
+
+    def test_snapshot_built_once_per_sampled_window(self, monkeypatch):
+        built = []
+        build = timeseries.build_snapshot
+        monkeypatch.setattr(
+            timeseries, "build_snapshot",
+            lambda reports, **kw: built.append(kw["time"]) or build(reports, **kw),
+        )
+        sweep(self.REPORTS, {
+            "hourly": Every({"n": stable}, 3600.0),
+            "6h": Every({"n": stable}, 6 * 3600.0),
+            "at": At({"n": stable}, {"a": 3700.0, "b": 3800.0}),
+        })
+        assert built == [0.0, 3600.0, 7200.0, 10800.0]
+
+    def test_at_completes_and_stops_the_pass(self):
+        seen = []
+
+        def stream():
+            for r in self.REPORTS:
+                seen.append(r)
+                yield r
+
+        out = sweep(stream(), {"at": At({"n": stable}, {"late": 1000.0, "early": 10.0})})
+        assert list(out["at"]) == ["early", "late"]  # the order found
+        assert out["at"]["late"] == {"n": 2}
+        assert len(seen) == 9  # windows 0 and 600, plus the look-ahead report
+
+    def test_each_report_sees_reports_before_start(self):
+        reports = [report(1, t=-5.0), *self.REPORTS]
+        out = sweep(reports, {
+            "days": EachReport(DailyDistinctIps),
+            "series": Every({"n": stable}),
+        })
+        assert out["days"] == daily_distinct_ips(reports)
+        assert out["days"][0][0] == -1
+
+    def test_metric_error_ends_its_schedule_only(self):
+        def broken(snapshot):
+            if snapshot.time >= 600.0:
+                raise ValueError("broken metric")
+            return 0
+
+        out = sweep(self.REPORTS, {"bad": Every({"x": broken}), "good": Every({"n": stable})})
+        with pytest.raises(ValueError, match="broken metric"):
+            out["bad"]
+        assert len(out["good"]) == len(observe(self.REPORTS, {"n": stable}))
+
+    def test_read_error_ends_every_incomplete_schedule(self):
+        def stream():
+            yield from self.REPORTS[:20]
+            raise ValueError("bad line")
+
+        out = sweep(stream(), {
+            "series": Every({"n": stable}),
+            "done": At({"n": stable}, {"a": 10.0}),
+            "waiting": At({"n": stable}, {"a": 10.0, "b": 9000.0}),
+            "days": EachReport(DailyDistinctIps),
+        })
+        assert out["done"] == {"a": {"n": 2}}
+        for name in ("series", "waiting", "days"):
+            with pytest.raises(ValueError, match="bad line"):
+                out[name]
+
+    def test_every_must_cover_window(self):
+        with pytest.raises(ValueError):
+            sweep([], {"s": Every({}, 300.0)})
+
+    def test_no_schedules_read_nothing(self):
+        def stream():
+            raise AssertionError("read")
+            yield
+
+        assert sweep(stream(), {}).results == {}
 
 
 class TestSeriesContainer:
